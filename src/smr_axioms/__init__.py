@@ -2,8 +2,9 @@
 
 The package has four layers:
 
-* :mod:`smr_axioms.core` — domain types and the exact ratio computations
-  under external and internal standardization;
+* :mod:`smr_axioms.core` — domain types and the exact ratio computation,
+  one :func:`~smr_axioms.core.smr` against benchmark rates that come from
+  an external standard or, once per cohort, from the cohort itself;
 * :mod:`smr_axioms.sensitivity` — closed-form effects of case-mix
   shifts, hospital rescaling and rate changes, each cross-checked
   against direct recomputation or finite differences;
@@ -26,10 +27,13 @@ from .core import (
     SmrResult,
     StratumCell,
     StratumTable,
+    World,
     actual_rate,
+    expected_rate,
     expected_rate_external,
     expected_rate_internal,
     internal_standard,
+    smr,
     smr_all,
     smr_external,
     smr_internal,
@@ -64,9 +68,7 @@ from .audit import (
     AuditMatrix,
     AxiomVerdict,
     Measure,
-    MeasureUnderTest,
     Witness,
-    World,
     built_in_measures,
     matches_expected_matrix,
     replay,
@@ -76,7 +78,6 @@ from .scenarios import (
     SCENARIO_NAMES,
     ClaimResult,
     ScenarioSpec,
-    ScenarioWorld,
     SweepSeries,
     build_scenario,
     check_claims,

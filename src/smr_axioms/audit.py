@@ -38,9 +38,11 @@ from .core import (
     Cohort,
     ExternalStandard,
     HospitalId,
+    Rates,
     Scheme,
     StratumId,
     StratumTable,
+    World,
     with_cell,
     with_rate,
 )
@@ -48,6 +50,7 @@ from .errors import (
     EmptyProbeSetError,
     IncomparableProbeError,
     InvalidParameterError,
+    MissingStandardRateError,
 )
 from .sensitivity import CaseMixShift, ScaleChange, scale_hospital, shift_case_mix
 
@@ -69,23 +72,12 @@ EXPECTED_BUILTIN_STATUS = {
 
 
 @dataclass(frozen=True)
-class World:
-    """A probe's inputs: a cohort plus an optional external standard."""
-
-    cohort: Cohort
-    standard: ExternalStandard | None = None
-
-
-@dataclass(frozen=True)
 class Measure:
     """A deterministic evaluator mapping (world, hospital) to a real."""
 
     name: str
     scheme: Scheme
     evaluate: Callable[[World, HospitalId], float]
-
-
-MeasureUnderTest = Measure
 
 
 def _eval_smr_external(world: World, hospital: HospitalId) -> float:
@@ -349,20 +341,15 @@ def check_scale_insensitivity(
 
 
 def _deviations(
-    world: World, table: StratumTable, strata: Sequence[StratumId]
+    rates: Rates, table: StratumTable, strata: Sequence[StratumId]
 ) -> dict[StratumId, float]:
     """Stratum-wise gaps to the benchmark; unpopulated strata count as 0."""
-    if world.standard is not None:
-        benchmark = {sid: world.standard.rate(sid) for sid in strata}
-    else:
-        benchmark = core.internal_standard(world.cohort)
     out: dict[StratumId, float] = {}
     for sid in strata:
+        if sid not in rates:
+            raise MissingStandardRateError(sid)
         cell = table.cells.get(sid)
-        if cell is None or cell.count <= 0.0:
-            out[sid] = 0.0
-        else:
-            out[sid] = cell.rate - benchmark[sid]
+        out[sid] = 0.0 if cell is None or cell.count <= 0.0 else cell.rate - rates[sid]
     return out
 
 
@@ -378,8 +365,9 @@ def _pair_relation_holds(probe: PairProbe) -> bool:
                 return False
         return True
     if probe.relation == "identical-deviations":
-        da = _deviations(probe.world, ta, strata)
-        db = _deviations(probe.world, tb, strata)
+        rates = probe.world.rates()
+        da = _deviations(rates, ta, strata)
+        db = _deviations(rates, tb, strata)
         return all(abs(da[sid] - db[sid]) <= core.EXACT_TOL for sid in strata)
     raise InvalidParameterError(f"unknown pair relation {probe.relation!r}")
 
@@ -479,9 +467,7 @@ def check_dominance(
 
 
 def _world(name: str, at: float, overrides: Mapping[str, float] | None = None) -> World:
-    spec = scenarios.ScenarioSpec(name, (at,), overrides or {})
-    built = scenarios.build_scenario(spec, at)
-    return World(built.cohort, built.standard)
+    return scenarios.build_scenario(scenarios.ScenarioSpec(name, (at,), overrides or {}), at)
 
 
 def mandatory_probes(axiom: str, scheme: Scheme) -> list[Probe]:
@@ -630,10 +616,8 @@ class ProbeGenerator:
                     better[sid] = max(0.01, worse[sid] - self._rng.uniform(0.005, 0.04))
             a = StratumTable.build("A", {s: (self._count(), better[s]) for s in strata})
             b = StratumTable.build("B", {s: (self._count(), worse[s]) for s in strata})
-            if scheme == "internal":
-                yield PairProbe(World(Cohort((a, b))), "A", "B", "dominates")
-            else:
-                yield PairProbe(World(Cohort((a, b)), self._standard(strata)), "A", "B", "dominates")
+            standard = None if scheme == "internal" else self._standard(strata)
+            yield PairProbe(World(Cohort((a, b)), standard), "A", "B", "dominates")
 
     def stream(self, axiom: str, scheme: Scheme) -> Iterator[Probe]:
         return {

@@ -172,7 +172,6 @@ def _run_analysis(args, parser, cohort, standard):
     external = scheme == "external"
     if external and standard is None:
         parser.error("external analyses require --standard")
-    table = None
     if args.hospital is None:
         parser.error("sensitivity requires --hospital")
     table = cohort.table(args.hospital)
@@ -299,6 +298,8 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 
 def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.trials < 0:
+        parser.error("--trials must be >= 0")
     registry = audit_mod.built_in_measures()
     extras = [registry[name] for name in args.measure]
     matrix = audit_mod.run_audit(extras, seed=args.seed, trials=args.trials)

@@ -18,13 +18,18 @@ the same patient-weighted mean over the benchmark,
 
 and the standardized mortality ratio is SMR_h = pbar_h / pbar_h^e.
 
-Two ways of choosing the benchmark are supported:
+The benchmark is one value, ``Rates`` (stratum -> rate), and :func:`smr`
+computes every ratio against it. Only its origin differs:
 
 * external: rates come from outside the analyzed cohort and do not react
-  to it (`ExternalStandard`);
-* internal: the benchmark rate of stratum s is the patient-weighted mean
-  rate of that stratum across the cohort itself, so every hospital's
-  data feeds the benchmark it is measured against.
+  to it (`ExternalStandard.rates`);
+* internal: the rate of stratum s is the patient-weighted mean rate of
+  that stratum across the cohort itself (`internal_standard`), so every
+  hospital's data feeds the benchmark it is measured against.
+
+Internal standardization is external standardization against
+``internal_standard(cohort)``, built once per cohort, so
+:func:`smr_all` is O(H*S) for H hospitals and S strata.
 
 Cells with ``count == 0`` may carry a rate (it is ignored by all rate
 aggregations) or leave it undefined. A zero expected rate is a typed
@@ -38,9 +43,10 @@ hospital ordering bit-for-bit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import fsum, isfinite
-from typing import Iterator, Literal, Mapping, Union
+from typing import Collection, Iterator, Literal, Mapping, Union
 
 from .errors import (
     EmptyHospitalError,
@@ -54,6 +60,8 @@ from .errors import (
 StratumId = Union[str, int]
 HospitalId = Union[str, int]
 Scheme = Literal["external", "internal"]
+#: Benchmark rates p_s^e: stratum -> expected mortality rate.
+Rates = Mapping[StratumId, float]
 
 #: Absolute tolerance for comparisons that are identities in exact arithmetic.
 EXACT_TOL = 1e-12
@@ -69,6 +77,19 @@ def _check_rate(rate: float, what: str) -> float:
     if not (isfinite(rate) and 0.0 <= rate <= 1.0):
         raise InvalidParameterError(f"{what} must lie in [0, 1], got {rate!r}")
     return rate
+
+
+def _reject_string_collisions(ids: Collection[object], what: str) -> None:
+    """Distinct ids must stay distinct once stringified, as every writer does."""
+    try:
+        "".join(ids)  # passes only when every id is a str, and distinct strs never collide
+    except TypeError:
+        seen: dict[str, object] = {}
+        for key in ids:
+            if seen.setdefault(str(key), key) is not key:
+                raise InvalidParameterError(
+                    f"{what} ids {seen[str(key)]!r} and {key!r} collide once stringified"
+                ) from None
 
 
 @dataclass(frozen=True)
@@ -115,6 +136,7 @@ class StratumTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", dict(self.cells))
+        _reject_string_collisions(self.cells, "stratum")
 
     @classmethod
     def build(cls, hospital: HospitalId, cells: Mapping[StratumId, CellLike]) -> "StratumTable":
@@ -173,6 +195,7 @@ class ExternalStandard:
             "rates",
             {sid: _check_rate(r, f"standard rate of stratum {sid!r}") for sid, r in self.rates.items()},
         )
+        _reject_string_collisions(self.rates, "stratum")
 
     def rate(self, stratum: StratumId) -> float:
         try:
@@ -180,36 +203,35 @@ class ExternalStandard:
         except KeyError:
             raise MissingStandardRateError(stratum) from None
 
-    def covers(self, table: StratumTable) -> bool:
-        return all(sid in self.rates for sid in table.populated())
-
 
 @dataclass(frozen=True)
 class Cohort:
     """The hospitals that jointly define the internal benchmark."""
 
     hospitals: tuple[StratumTable, ...] = field(default_factory=tuple)
+    _index: dict[HospitalId, StratumTable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hospitals", tuple(self.hospitals))
-        seen: set[HospitalId] = set()
-        for t in self.hospitals:
-            if t.hospital in seen:
-                raise InvalidParameterError(f"duplicate hospital id {t.hospital!r}")
-            seen.add(t.hospital)
+        index = {t.hospital: t for t in self.hospitals}
+        if len(index) < len(self.hospitals):
+            duplicate = next(h for h, n in Counter(t.hospital for t in self.hospitals).items() if n > 1)
+            raise InvalidParameterError(f"duplicate hospital id {duplicate!r}")
+        _reject_string_collisions(index, "hospital")
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def build(cls, tables: Mapping[HospitalId, Mapping[StratumId, CellLike]]) -> "Cohort":
         return cls(tuple(StratumTable.build(h, cells) for h, cells in tables.items()))
 
     def ids(self) -> tuple[HospitalId, ...]:
-        return tuple(t.hospital for t in self.hospitals)
+        return tuple(self._index)
 
     def table(self, hospital: HospitalId) -> StratumTable:
-        for t in self.hospitals:
-            if t.hospital == hospital:
-                return t
-        raise UnknownHospitalError(f"hospital {hospital!r} not in cohort")
+        try:
+            return self._index[hospital]
+        except KeyError:
+            raise UnknownHospitalError(f"hospital {hospital!r} not in cohort") from None
 
     def strata(self) -> tuple[StratumId, ...]:
         """Union of stratum ids, in first-seen order."""
@@ -224,10 +246,12 @@ class Cohort:
         return fsum(t.count(stratum) for t in self.hospitals)
 
     def with_table(self, table: StratumTable) -> "Cohort":
-        """Copy of the cohort with the same-id hospital replaced."""
-        if table.hospital not in self.ids():
-            raise UnknownHospitalError(f"hospital {table.hospital!r} not in cohort")
-        return Cohort(tuple(table if t.hospital == table.hospital else t for t in self.hospitals))
+        """Copy with the same-id hospital replaced; the ids stay valid, so nothing is re-checked."""
+        old = self.table(table.hospital)
+        copy = object.__new__(Cohort)
+        object.__setattr__(copy, "hospitals", tuple(table if t is old else t for t in self.hospitals))
+        object.__setattr__(copy, "_index", {**self._index, table.hospital: table})
+        return copy
 
 
 @dataclass(frozen=True)
@@ -254,21 +278,23 @@ def actual_rate(table: StratumTable) -> float:
     return fsum(c.count * c.rate for c in table.cells.values() if c.count > 0.0) / total
 
 
-def expected_rate_external(table: StratumTable, standard: ExternalStandard) -> float:
-    """Patient-weighted mean of the standard's rates under the hospital's case mix."""
+def expected_rate(table: StratumTable, rates: Rates) -> float:
+    """Patient-weighted mean of the benchmark rates under the hospital's case mix."""
     total = _require_patients(table)
-    return fsum(c.count * standard.rate(sid) for sid, c in table.cells.items() if c.count > 0.0) / total
+    try:
+        return fsum(c.count * rates[sid] for sid, c in table.cells.items() if c.count > 0.0) / total
+    except KeyError as missing:
+        raise MissingStandardRateError(missing.args[0]) from None
 
 
-def smr_external(table: StratumTable, standard: ExternalStandard) -> SmrResult:
-    """Ratio of actual to expected mortality against a fixed external standard."""
+def smr(table: StratumTable, rates: Rates, scheme: Scheme) -> SmrResult:
+    """Ratio of actual to expected mortality; ``scheme`` only labels the result."""
     actual = actual_rate(table)
-    expected = expected_rate_external(table, standard)
+    expected = expected_rate(table, rates)
     if expected <= 0.0:
-        raise ZeroExpectedRateError(
-            f"hospital {table.hospital!r} has zero expected mortality under the standard"
-        )
-    return SmrResult(table.hospital, actual, expected, actual / expected, EXTERNAL)
+        benchmark = "the standard" if scheme == EXTERNAL else "the internal benchmark"
+        raise ZeroExpectedRateError(f"hospital {table.hospital!r} has zero expected mortality under {benchmark}")
+    return SmrResult(table.hospital, actual, expected, actual / expected, scheme)
 
 
 def internal_standard(cohort: Cohort) -> dict[StratumId, float]:
@@ -291,30 +317,53 @@ def internal_standard(cohort: Cohort) -> dict[StratumId, float]:
     return out
 
 
+def expected_rate_external(table: StratumTable, standard: ExternalStandard) -> float:
+    """Expected mortality rate of one hospital under a fixed external standard."""
+    return expected_rate(table, standard.rates)
+
+
 def expected_rate_internal(cohort: Cohort, hospital: HospitalId) -> float:
     """Expected mortality rate of one hospital under the cohort's own benchmark."""
-    table = cohort.table(hospital)
-    total = _require_patients(table)
-    standard = internal_standard(cohort)
-    return fsum(c.count * standard[sid] for sid, c in table.cells.items() if c.count > 0.0) / total
+    return expected_rate(cohort.table(hospital), internal_standard(cohort))
+
+
+def smr_external(table: StratumTable, standard: ExternalStandard) -> SmrResult:
+    """Ratio of actual to expected mortality against a fixed external standard."""
+    return smr(table, standard.rates, EXTERNAL)
 
 
 def smr_internal(cohort: Cohort, hospital: HospitalId) -> SmrResult:
     """Ratio of actual to expected mortality against the cohort's own benchmark."""
-    table = cohort.table(hospital)
-    actual = actual_rate(table)
-    expected = expected_rate_internal(cohort, hospital)
-    if expected <= 0.0:
-        raise ZeroExpectedRateError(
-            f"hospital {hospital!r} has zero expected mortality under the internal benchmark"
-        )
-    return SmrResult(hospital, actual, expected, actual / expected, INTERNAL)
+    return smr(cohort.table(hospital), internal_standard(cohort), INTERNAL)
 
 
 def smr_all(cohort: Cohort, scheme: Scheme, standard: ExternalStandard | None = None) -> list[SmrResult]:
-    """SMR of every hospital in the cohort under one scheme."""
+    """SMR of every hospital under one scheme, against a benchmark built once."""
     if scheme == EXTERNAL:
         if standard is None:
             raise InvalidParameterError("external scheme needs a standard")
-        return [smr_external(t, standard) for t in cohort.hospitals]
-    return [smr_internal(cohort, t.hospital) for t in cohort.hospitals]
+        rates = standard.rates
+    else:
+        rates = internal_standard(cohort)
+    return [smr(t, rates, scheme) for t in cohort.hospitals]
+
+
+@dataclass(frozen=True)
+class World:
+    """A cohort plus an optional external standard, which decides the scheme.
+
+    With a standard, hospitals are measured against its rates (external);
+    without one, against ``internal_standard(cohort)`` (internal). Audit
+    probes, their witnesses and the scenario configurations are worlds.
+    """
+
+    cohort: Cohort
+    standard: ExternalStandard | None = None
+
+    @property
+    def scheme(self) -> Scheme:
+        return INTERNAL if self.standard is None else EXTERNAL
+
+    def rates(self) -> Rates:
+        """The benchmark this world's hospitals are measured against."""
+        return internal_standard(self.cohort) if self.standard is None else self.standard.rates

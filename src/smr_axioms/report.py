@@ -21,7 +21,7 @@ from math import isfinite
 from typing import Any, Mapping, Sequence
 
 from . import audit, scenarios
-from .core import Cohort, ExternalStandard, StratumCell, StratumTable
+from .core import Cohort, ExternalStandard, StratumCell, StratumTable, World
 from .csvio import format_number
 from .errors import InvalidParameterError
 from .sensitivity import SensitivityReport
@@ -45,7 +45,6 @@ def _render(value: Any, indent: int | None, level: int) -> str:
         return json.dumps(value)
     pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
     end = "" if indent is None else "\n" + " " * (indent * level)
-    sep = "," if indent is None else ","
     if isinstance(value, Mapping):
         if not value:
             return "{}"
@@ -53,12 +52,12 @@ def _render(value: Any, indent: int | None, level: int) -> str:
             f"{pad}{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
             for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
         ]
-        return "{" + sep.join(items) + end + "}"
+        return "{" + ",".join(items) + end + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         items = [f"{pad}{_render(v, indent, level + 1)}" for v in value]
-        return "[" + sep.join(items) + end + "]"
+        return "[" + ",".join(items) + end + "]"
     raise InvalidParameterError(f"cannot serialize {type(value).__name__}")
 
 
@@ -129,12 +128,12 @@ def standard_from_payload(payload: Mapping | None) -> ExternalStandard | None:
     return ExternalStandard({sid: float(rate) for sid, rate in payload.items()})
 
 
-def world_payload(world: audit.World) -> dict:
+def world_payload(world: World) -> dict:
     return {"hospitals": cohort_payload(world.cohort), "standard": standard_payload(world.standard)}
 
 
-def world_from_payload(payload: Mapping) -> audit.World:
-    return audit.World(
+def world_from_payload(payload: Mapping) -> World:
+    return World(
         cohort_from_payload(payload["hospitals"]),
         standard_from_payload(payload.get("standard")),
     )

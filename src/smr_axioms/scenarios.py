@@ -35,7 +35,7 @@ from math import isfinite
 from typing import Callable, Mapping
 
 from . import core
-from .core import Cohort, ExternalStandard, HospitalId, Scheme
+from .core import Cohort, ExternalStandard, HospitalId, Scheme, World
 from .errors import ParameterOutOfRangeError, UnknownHospitalError, InvalidParameterError
 
 SCENARIO_NAMES = (
@@ -50,15 +50,6 @@ SCENARIO_NAMES = (
 
 #: Refinement target for crossing detection: |SMR_a - SMR_b| at the result.
 CROSSING_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ScenarioWorld:
-    """One scenario materialized at a single parameter value."""
-
-    cohort: Cohort
-    standard: ExternalStandard | None
-    scheme: Scheme
 
 
 @dataclass(frozen=True)
@@ -176,81 +167,62 @@ def _check_range(name: str, at: float, lo: float, hi: float) -> None:
         )
 
 
-def _tables(rows: Mapping[HospitalId, Mapping[str, tuple]]) -> Cohort:
-    return Cohort.build(rows)
+def _build_casemix_ext(eta: float, _: Mapping[str, float]) -> World:
+    cohort = Cohort.build({
+        "H1": {"1": (20.0 - eta, 0.2), "2": (eta, 0.1), "3": (5.0, 0.2)},
+        "H2": {"1": (20.0 - eta, 0.2), "2": (eta, 0.1), "3": (5.0, 0.1)},
+    })
+    return World(cohort, ExternalStandard({"1": 0.2, "2": 0.1, "3": 0.15}))
 
 
-def _build_casemix_ext(eta: float, _: Mapping[str, float]) -> ScenarioWorld:
-    cohort = _tables(
-        {
-            "H1": {"1": (20.0 - eta, 0.2), "2": (eta, 0.1), "3": (5.0, 0.2)},
-            "H2": {"1": (20.0 - eta, 0.2), "2": (eta, 0.1), "3": (5.0, 0.1)},
-        }
-    )
-    return ScenarioWorld(cohort, ExternalStandard({"1": 0.2, "2": 0.1, "3": 0.15}), "external")
+def _build_scale_ext(lam: float, _: Mapping[str, float]) -> World:
+    cohort = Cohort.build({"H1": {"1": (20.0 * lam, 0.05), "2": (40.0 * lam, 0.15)}})
+    return World(cohort, ExternalStandard({"1": 0.1, "2": 0.1}))
 
 
-def _build_scale_ext(lam: float, _: Mapping[str, float]) -> ScenarioWorld:
-    cohort = _tables({"H1": {"1": (20.0 * lam, 0.05), "2": (40.0 * lam, 0.15)}})
-    return ScenarioWorld(cohort, ExternalStandard({"1": 0.1, "2": 0.1}), "external")
+def _build_actual_ext(p11: float, _: Mapping[str, float]) -> World:
+    cohort = Cohort.build({
+        "H1": {"1": (5.0, p11), "2": (5.0, 0.15)},
+        "H2": {"1": (5.0, p11), "3": (5.0, 0.3)},
+    })
+    return World(cohort, ExternalStandard({"1": 0.1, "2": 0.15, "3": 0.3}))
 
 
-def _build_actual_ext(p11: float, _: Mapping[str, float]) -> ScenarioWorld:
-    cohort = _tables(
-        {
-            "H1": {"1": (5.0, p11), "2": (5.0, 0.15)},
-            "H2": {"1": (5.0, p11), "3": (5.0, 0.3)},
-        }
-    )
-    return ScenarioWorld(cohort, ExternalStandard({"1": 0.1, "2": 0.15, "3": 0.3}), "external")
+def _build_expected_ext(p1e: float, _: Mapping[str, float]) -> World:
+    cohort = Cohort.build({
+        "H1": {"1": (5.0, 0.1), "2": (5.0, 0.2)},
+        "H2": {"1": (5.0, 0.1), "2": (15.0, 0.15)},
+    })
+    return World(cohort, ExternalStandard({"1": p1e, "2": 0.1}))
 
 
-def _build_expected_ext(p1e: float, _: Mapping[str, float]) -> ScenarioWorld:
-    cohort = _tables(
-        {
-            "H1": {"1": (5.0, 0.1), "2": (5.0, 0.2)},
-            "H2": {"1": (5.0, 0.1), "2": (15.0, 0.15)},
-        }
-    )
-    return ScenarioWorld(cohort, ExternalStandard({"1": p1e, "2": 0.1}), "external")
+def _build_casemix_int(eta: float, _: Mapping[str, float]) -> World:
+    return World(Cohort.build({
+        "H1": {"1": (50.0 - eta, 0.1), "2": (eta, 0.3)},
+        "H2": {"1": (25.0, 0.1), "2": (10.0, 0.1)},
+    }))
 
 
-def _build_casemix_int(eta: float, _: Mapping[str, float]) -> ScenarioWorld:
-    cohort = _tables(
-        {
-            "H1": {"1": (50.0 - eta, 0.1), "2": (eta, 0.3)},
-            "H2": {"1": (25.0, 0.1), "2": (10.0, 0.1)},
-        }
-    )
-    return ScenarioWorld(cohort, None, "internal")
+def _build_scale_int(lam: float, _: Mapping[str, float]) -> World:
+    return World(Cohort.build({
+        "H1": {"1": (50.0 * lam, 0.3), "2": (50.0 * lam, 0.2), "3": (0.0, None)},
+        "H2": {"1": (50.0, 0.1), "2": (100.0, 0.1), "3": (0.0, None)},
+        "H3": {"1": (0.0, None), "2": (10.0, 0.25), "3": (10.0, 0.2)},
+    }))
 
 
-def _build_scale_int(lam: float, _: Mapping[str, float]) -> ScenarioWorld:
-    cohort = _tables(
-        {
-            "H1": {"1": (50.0 * lam, 0.3), "2": (50.0 * lam, 0.2), "3": (0.0, None)},
-            "H2": {"1": (50.0, 0.1), "2": (100.0, 0.1), "3": (0.0, None)},
-            "H3": {"1": (0.0, None), "2": (10.0, 0.25), "3": (10.0, 0.2)},
-        }
-    )
-    return ScenarioWorld(cohort, None, "internal")
-
-
-def _build_actual_int(p11: float, overrides: Mapping[str, float]) -> ScenarioWorld:
+def _build_actual_int(p11: float, overrides: Mapping[str, float]) -> World:
     w11 = float(overrides.get("w11", 0.8))
     if not 0.0 <= w11 <= 1.0:
         raise ParameterOutOfRangeError(f"w11 = {w11!r} outside [0, 1]")
-    cohort = _tables(
-        {
-            "H1": {"1": (100.0 * w11, p11), "2": (50.0, 0.4)},
-            "H2": {"1": (100.0 * (1.0 - w11), 0.1), "2": (50.0, 0.1)},
-            "H3": {"1": (0.0, None), "2": (40.0, 0.3)},
-        }
-    )
-    return ScenarioWorld(cohort, None, "internal")
+    return World(Cohort.build({
+        "H1": {"1": (100.0 * w11, p11), "2": (50.0, 0.4)},
+        "H2": {"1": (100.0 * (1.0 - w11), 0.1), "2": (50.0, 0.1)},
+        "H3": {"1": (0.0, None), "2": (40.0, 0.3)},
+    }))
 
 
-_BUILDERS: dict[str, Callable[[float, Mapping[str, float]], ScenarioWorld]] = {
+_BUILDERS: dict[str, Callable[[float, Mapping[str, float]], World]] = {
     "casemix-ext": _build_casemix_ext,
     "scale-ext": _build_scale_ext,
     "actual-ext": _build_actual_ext,
@@ -261,17 +233,16 @@ _BUILDERS: dict[str, Callable[[float, Mapping[str, float]], ScenarioWorld]] = {
 }
 
 
-def build_scenario(spec: ScenarioSpec, at: float) -> ScenarioWorld:
+def build_scenario(spec: ScenarioSpec, at: float) -> World:
     """Materialize the scenario at one parameter value."""
     lo, hi = _RANGES[spec.name]
     _check_range(spec.name, at, lo, hi)
     return _BUILDERS[spec.name](float(at), spec.overrides)
 
 
-def evaluate(world: ScenarioWorld, hospital: HospitalId) -> float:
-    if world.scheme == "external":
-        return core.smr_external(world.cohort.table(hospital), world.standard).smr
-    return core.smr_internal(world.cohort, hospital).smr
+def evaluate(world: World, hospital: HospitalId) -> float:
+    """The hospital's ratio against the world's benchmark."""
+    return core.smr(world.cohort.table(hospital), world.rates(), world.scheme).smr
 
 
 def run_sweep(spec: ScenarioSpec) -> SweepSeries:
@@ -280,11 +251,10 @@ def run_sweep(spec: ScenarioSpec) -> SweepSeries:
     series: dict[HospitalId, list[float]] = {h: [] for h in hospitals}
     for x in spec.grid:
         world = build_scenario(spec, x)
-        for h in hospitals:
-            value = evaluate(world, h)
-            if not (isfinite(value) and value >= 0.0):
-                raise InvalidParameterError(f"non-finite ratio for {h!r} at {x!r}")
-            series[h].append(value)
+        for r in core.smr_all(world.cohort, world.scheme, world.standard):
+            if not (isfinite(r.smr) and r.smr >= 0.0):
+                raise InvalidParameterError(f"non-finite ratio for {r.hospital!r} at {x!r}")
+            series[r.hospital].append(r.smr)
     return SweepSeries(spec, spec.grid, {h: tuple(v) for h, v in series.items()})
 
 

@@ -418,7 +418,8 @@ def omega_internal(
     there, so the identity with the recomputation survives).
     """
     table = cohort.table(hospital)
-    before = core.smr_internal(cohort, hospital)
+    standard = core.internal_standard(cohort)
+    before = core.smr(table, standard, core.INTERNAL)
     if shift.eta == 0.0:
         return SensitivityReport(0.0, "zero", "eta == 0", fd_check=0.0)
 
@@ -430,7 +431,6 @@ def omega_internal(
     p_hk, p_hl = table.cell(k).rate, table.cell(l).rate
     if p_hk is None or p_hl is None:
         raise UndefinedRateError("both shifted strata must define rates")
-    standard = core.internal_standard(cohort)
     mean_k, mean_l = standard[k], standard[l]
     n_k, n_l = cohort.stratum_count(k), cohort.stratum_count(l)
     n_hk, n_hl = table.count(k), table.count(l)
@@ -492,12 +492,12 @@ def delta_smr_scale_internal(
     details record that per-stratum direction.
     """
     table = cohort.table(hospital)
-    before = core.smr_internal(cohort, hospital)
     standard_before = core.internal_standard(cohort)
+    before = core.smr(table, standard_before, core.INTERNAL)
 
-    scaled = cohort.with_table(scale_hospital(table, change))
-    after = core.smr_internal(scaled, hospital)
-    standard_after = core.internal_standard(scaled)
+    scaled_table = scale_hospital(table, change)
+    standard_after = core.internal_standard(cohort.with_table(scaled_table))
+    after = core.smr(scaled_table, standard_after, core.INTERNAL)
 
     value = before.smr * (before.expected_rate / after.expected_rate - 1.0)
     fd = after.smr - before.smr
@@ -670,23 +670,17 @@ def dsmr_expected_internal(
     choice over the stratum-ownership share n_hk / n_k.
     """
     table = cohort.table(hospital)
-    before = core.smr_internal(cohort, hospital)
+    standard = core.internal_standard(cohort)
+    before = core.smr(table, standard, core.INTERNAL)
     n_hk = table.count(stratum)
     if n_hk <= 0.0:
         return SensitivityReport(0.0, "zero", "n_hk == 0", fd_check=0.0, details={"share": 0.0})
     share = n_hk / table.total_count
     value = -before.smr * share / before.expected_rate * dpe
 
-    standard = core.internal_standard(cohort)
-    total = table.total_count
-
     def g(eps: float) -> float:
-        shifted = dict(standard)
-        shifted[stratum] = standard[stratum] + eps
-        expected = fsum(
-            c.count * shifted[sid] for sid, c in table.cells.items() if c.count > 0.0
-        ) / total
-        return before.actual_rate / expected
+        shifted = {**standard, stratum: standard[stratum] + eps}
+        return before.actual_rate / core.expected_rate(table, shifted)
 
     fd = _offset_slope(g) * dpe
     sign = classify_sign(value, zero_tol)

@@ -294,6 +294,17 @@ class TestAuditCommand:
         assert verdicts["strict_monotonicity"] == "violated"
         assert verdicts["case_mix_insensitivity"] == "holds"
 
+    def test_negative_trials_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--trials", "-5"])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+
+    def test_zero_trials_runs_mandatory_probes_only(self, capsys):
+        code, payload = run_json(capsys, ["audit", "--trials", "0"])
+        assert code == 0
+        assert all(v["trials"] >= 1 for row in payload["results"]["matrix"] for v in row["verdicts"])
+
     def test_csv_format(self, capsys):
         code = main(["audit", "--trials", "30", "--format", "csv"])
         out = capsys.readouterr().out

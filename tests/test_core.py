@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smr_axioms import core
 from smr_axioms import (
     Cohort,
     EXACT_TOL,
@@ -16,6 +17,7 @@ from smr_axioms import (
     expected_rate_external,
     expected_rate_internal,
     internal_standard,
+    smr_all,
     smr_external,
     smr_internal,
 )
@@ -215,6 +217,47 @@ class TestValidation:
     def test_standard_rate_range(self):
         with pytest.raises(InvalidParameterError):
             ExternalStandard({"1": -0.2})
+
+    # Writers stringify ids, so 1 and "1" would serialize to one key.
+    def test_hospital_ids_colliding_as_strings(self):
+        with pytest.raises(InvalidParameterError, match="collide"):
+            Cohort.build({1: {"1": (5.0, 0.1)}, "1": {"1": (5.0, 0.2)}})
+
+    def test_stratum_ids_colliding_as_strings(self):
+        with pytest.raises(InvalidParameterError, match="collide"):
+            StratumTable.build("H", {1: (5.0, 0.1), "1": (5.0, 0.2)})
+
+    def test_standard_ids_colliding_as_strings(self):
+        with pytest.raises(InvalidParameterError, match="collide"):
+            ExternalStandard({1: 0.1, "1": 0.2})
+
+
+class TestSmrAll:
+    def test_internal_builds_the_benchmark_once(self, monkeypatch):
+        calls = []
+        original = core.internal_standard
+
+        def counted(cohort):
+            calls.append(cohort)
+            return original(cohort)
+
+        monkeypatch.setattr(core, "internal_standard", counted)
+        cohort, _ = random_cohort(Random(5), hospitals=12)
+        assert len(smr_all(cohort, "internal")) == 12
+        assert len(calls) == 1
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_internal_matches_per_hospital_results_exactly(self, seed):
+        cohort, _ = random_cohort(Random(seed))
+        assert smr_all(cohort, "internal") == [
+            smr_internal(cohort, h) for h in cohort.ids()
+        ]
+
+    def test_external_needs_a_standard(self):
+        cohort, _ = random_cohort(Random(1))
+        with pytest.raises(InvalidParameterError):
+            smr_all(cohort, "external")
 
 
 class TestInvariants:
