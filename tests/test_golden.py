@@ -35,6 +35,7 @@ CASES = {
     "audit_seed0.json": [
         "audit", "--seed", "0", "--trials", "10000", "--measure", "constant", "--measure", "actual-rate",
     ],
+    "scenario_expected_ext.json": ["scenario", "--name", "expected-ext", "--check-claims"],
 }
 
 
