@@ -242,6 +242,11 @@ def check_strict_monotonicity(
         if cell.count <= 0.0:
             raise InvalidParameterError("monotonicity probe needs a populated stratum")
         bumped = min(1.0, cell.rate + probe.delta)
+        if bumped <= cell.rate:
+            raise IncomparableProbeError(
+                f"raising the rate {cell.rate!r} of stratum {probe.stratum!r} by {probe.delta!r}"
+                " leaves it unchanged"
+            )
         perturbed = World(
             probe.world.cohort.with_table(with_rate(table, probe.stratum, bumped)),
             probe.world.standard,

@@ -72,9 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     common.add_argument("--out", metavar="PATH")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="zero-classification tolerance (default 1e-12)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -96,8 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sens.add_argument("--eta", type=float)
     p_sens.add_argument("--lambda", dest="scale_factor", type=float)
     p_sens.add_argument("--dp", type=float)
+    p_sens.add_argument("--tolerance", type=float, default=sensitivity.SIGN_ZERO_TOL,
+                        help="zero-classification tolerance (default %(default)s)")
 
     p_audit = sub.add_parser("audit", parents=[common], help="five-requirement compliance matrix")
+    p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--trials", type=int, default=10_000)
     p_audit.add_argument("--expect-paper", dest="expect_paper", action="store_true",
                          help="fail unless the built-in matrix matches its known pattern")
@@ -113,10 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument("--step", dest="grid_step", type=float)
     p_scen.add_argument("--check-claims", dest="check_claims", action="store_true")
     return parser
-
-
-def _zero_tol(args: argparse.Namespace) -> float:
-    return sensitivity.SIGN_ZERO_TOL if args.tolerance is None else args.tolerance
 
 
 def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -168,7 +164,7 @@ def _require(parser: argparse.ArgumentParser, args: argparse.Namespace, names: S
 
 def _run_analysis(args, parser, cohort, standard):
     scheme, analysis = args.scheme, args.analysis
-    tol = _zero_tol(args)
+    tol = args.tolerance
     external = scheme == "external"
     if external and standard is None:
         parser.error("external analyses require --standard")
@@ -254,6 +250,7 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         "scheme": args.scheme,
         "analysis": args.analysis,
         "parameters": parameters,
+        "tolerance": args.tolerance,
     }
     results = {
         "analysis": args.analysis,

@@ -9,16 +9,19 @@ with a versioned envelope::
 The JSON writer emits floats with 17 significant digits (lossless for
 binary64) and sorts keys, so identical inputs produce byte-identical
 output. The digest is a content hash of the canonicalized inputs, never
-of file paths. Witness payloads embed the complete probe inputs so a
-violation can be re-evaluated from the report alone.
+of file paths: the sha256 of their compact ``dumps`` text, hashed in
+pieces as the writer produces it, so that text is never held whole.
+Witness payloads embed the complete probe inputs so a violation can be
+re-evaluated from the report alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import audit, scenarios
 from .core import Cohort, ExternalStandard, StratumCell, StratumTable, World
@@ -29,46 +32,71 @@ from .sensitivity import SensitivityReport
 SCHEMA_VERSION = "1"
 
 
-def _render(value: Any, indent: int | None, level: int) -> str:
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, float):
-        if not isfinite(value):
-            raise InvalidParameterError(f"cannot serialize non-finite number {value!r}")
-        text = format_number(value)
-        if "." not in text and "e" not in text:
-            text += ".0"
-        return text
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    end = "" if indent is None else "\n" + " " * (indent * level)
-    if isinstance(value, Mapping):
-        if not value:
-            return "{}"
-        items = [
-            f"{pad}{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
-            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-        ]
-        return "{" + ",".join(items) + end + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{pad}{_render(v, indent, level + 1)}" for v in value]
-        return "[" + ",".join(items) + end + "]"
-    raise InvalidParameterError(f"cannot serialize {type(value).__name__}")
+def _write(payload: Any, indent: int | None, emit: Callable[[str], None]) -> None:
+    """Pass the canonical text of ``payload`` to ``emit`` in pieces of a few thousand chunks.
+    Dicts whose keys are all exact ``str`` reuse their sorted ``"key": `` heads per (keys, level)."""
+    out: list[str] = []
+    heads: dict[tuple, tuple[list, list[str]]] = {}
+
+    def write(pairs: Iterable[tuple[str, Any]], level: int) -> None:
+        for head, value in pairs:
+            kind = type(value)
+            if kind is str:
+                out.append(head + encode_basestring_ascii(value))  # what json.dumps(str) calls
+            elif kind is float or isinstance(value, float):
+                if not isfinite(value):
+                    raise InvalidParameterError(f"cannot serialize non-finite number {value!r}")
+                text = f"{float(value):.17g}"  # csvio.format_number, inlined
+                out.append(head + (text if "." in text or "e" in text else text + ".0"))
+            elif kind is bool or value is None:
+                out.append(head + ("null" if value is None else "true" if value else "false"))
+            elif isinstance(value, (int, str)):
+                out.append(head + (str(value) if isinstance(value, int) else json.dumps(value)))
+            else:
+                pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
+                if kind is dict or kind not in (list, tuple) and isinstance(value, Mapping):
+                    keys = tuple(value)
+                    cached = kind is dict and {str}.issuperset(map(type, keys))
+                    entry = heads.get((keys, level)) if cached else None
+                    if entry is None:
+                        items = sorted(value.items(), key=lambda kv: str(kv[0]))
+                        order = [k for k, _ in items]
+                        entry = order, [("," if i else "{") + pad + json.dumps(str(k)) + ": "
+                                        for i, k in enumerate(order)]
+                        if cached:
+                            heads[keys, level] = entry
+                    children = map(value.__getitem__, entry[0]) if kind is dict else [v for _, v in items]
+                    prefixes, brackets = entry[1], "{}"
+                elif isinstance(value, (list, tuple)):
+                    prefixes, children, brackets = ["[" + pad] + ["," + pad] * (len(value) - 1), value, "[]"
+                else:
+                    raise InvalidParameterError(f"cannot serialize {type(value).__name__}")
+                if not value:
+                    out.append(head + brackets)
+                    continue
+                out.append(head)
+                write(zip(prefixes, children), level + 1)
+                out.append(("" if indent is None else "\n" + " " * (indent * level)) + brackets[1])
+                if len(out) >= 4096:
+                    emit("".join(out))
+                    out.clear()
+
+    write((("", payload),), 0)
+    emit("".join(out))
 
 
 def dumps(payload: Any, indent: int | None = 2) -> str:
     """Deterministic JSON: sorted keys, 17-significant-digit floats."""
-    return _render(payload, indent, 0) + ("\n" if indent is not None else "")
+    pieces: list[str] = []
+    _write(payload, indent, pieces.append)
+    return "".join(pieces) + ("\n" if indent is not None else "")
 
 
 def inputs_digest(inputs: Any) -> str:
-    """Content hash of the canonicalized inputs."""
-    return hashlib.sha256(dumps(inputs, indent=None).encode("utf-8")).hexdigest()
+    """Content hash of the canonicalized inputs: sha256 of ``dumps(inputs, None)``."""
+    digest = hashlib.sha256()
+    _write(inputs, None, lambda text: digest.update(text.encode("utf-8")))
+    return digest.hexdigest()
 
 
 def make_report(command: str, inputs: Any, results: Any, warnings: Sequence[str] = ()) -> dict:

@@ -14,6 +14,7 @@ from smr_axioms import (
     run_audit,
 )
 from smr_axioms.audit import (
+    MonotonicityProbe,
     PairProbe,
     ProbeGenerator,
     World,
@@ -166,6 +167,17 @@ class TestChecks:
         probe = PairProbe(world, "A", "B", "dominates")
         with pytest.raises(IncomparableProbeError):
             check_dominance(REGISTRY["smr-external"], [probe])
+
+    @pytest.mark.parametrize(
+        "rate, delta",
+        [(1.0, 1e-3), (0.2, 0.0), (0.2, -1e-3)],
+        ids=["rate-already-one", "zero-delta", "negative-delta"],
+    )
+    def test_monotonicity_probe_that_cannot_raise_the_rate(self, rate, delta):
+        world = World(Cohort.build({"A": {"1": (5.0, rate)}}), ExternalStandard({"1": 0.1}))
+        probe = MonotonicityProbe(world, "A", "1", delta)
+        with pytest.raises(IncomparableProbeError):
+            check_strict_monotonicity(REGISTRY["smr-external"], [probe])
 
     def test_case_mix_check_finds_nothing_for_constant(self):
         probes = mandatory_probes("case_mix_insensitivity", "external")

@@ -249,6 +249,19 @@ class TestSensitivityCommand:
         _, loose = run_json(capsys, argv + ["--tolerance", "1.0"])
         assert loose["results"]["report"]["sign"] == "zero"
 
+    def test_tolerance_is_in_inputs_digest(self, tmp_path, capsys):
+        hospitals = tmp_path / "h.csv"
+        hospitals.write_text(TWO_HOSPITAL_CSV)
+        argv = ["sensitivity", "--hospitals", str(hospitals), "--scheme", "internal",
+                "--analysis", "me-actual", "--hospital", "H1", "--stratum", "1"]
+        _, default = run_json(capsys, argv)
+        _, strict = run_json(capsys, argv + ["--tolerance", "1e-12"])
+        _, loose = run_json(capsys, argv + ["--tolerance", "10"])
+        assert strict["results"]["report"]["sign"] == "increase"
+        assert loose["results"]["report"]["sign"] == "zero"
+        assert strict["inputs_digest"] != loose["inputs_digest"]
+        assert default["inputs_digest"] == strict["inputs_digest"]
+
     def test_add_patients(self, tmp_path, capsys):
         hospitals = tmp_path / "h.csv"
         hospitals.write_text(TWO_HOSPITAL_CSV)
@@ -402,3 +415,27 @@ class TestRoundTrip:
         path.write_text(emit_hospitals(cohort), encoding="utf-8")
         loaded, _ = ingest(path)
         assert loaded == cohort
+
+
+class TestOptionScope:
+    """``--seed`` belongs to ``audit`` and ``--tolerance`` to ``sensitivity`` only."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--hospitals", "h.csv", "--scheme", "internal", "--seed", "3"],
+            ["compute", "--hospitals", "h.csv", "--scheme", "internal", "--tolerance", "1"],
+            ["sensitivity", "--hospitals", "h.csv", "--scheme", "internal", "--analysis", "me-actual",
+             "--hospital", "H1", "--stratum", "1", "--seed", "3"],
+            ["audit", "--trials", "0", "--tolerance", "1"],
+            ["scenario", "--name", "expected-ext", "--seed", "3"],
+            ["scenario", "--name", "expected-ext", "--tolerance", "1"],
+        ],
+        ids=["compute-seed", "compute-tolerance", "sensitivity-seed", "audit-tolerance",
+             "scenario-seed", "scenario-tolerance"],
+    )
+    def test_option_outside_its_command_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

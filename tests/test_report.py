@@ -1,0 +1,164 @@
+"""The canonical JSON writer against a plain recursive reference.
+
+``reference_render`` is the writer as it was before it became a single
+walk over a chunk list: it builds a string per nesting level and runs the
+``isinstance`` chain on every value. ``report.dumps`` and
+``report.inputs_digest`` must reproduce its bytes exactly.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from math import inf, isfinite, nan
+from types import MappingProxyType
+from typing import Any, Mapping
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from smr_axioms import report
+from smr_axioms.csvio import format_number
+from smr_axioms.errors import InvalidParameterError
+
+
+def reference_render(value: Any, indent: int | None, level: int = 0) -> str:
+    if isinstance(value, bool) or value is None:
+        return json.dumps(value)
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise InvalidParameterError(f"cannot serialize non-finite number {value!r}")
+        text = format_number(value)
+        if "." not in text and "e" not in text:
+            text += ".0"
+        return text
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
+    end = "" if indent is None else "\n" + " " * (indent * level)
+    if isinstance(value, Mapping):
+        if not value:
+            return "{}"
+        items = [
+            f"{pad}{json.dumps(str(k))}: {reference_render(v, indent, level + 1)}"
+            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
+        ]
+        return "{" + ",".join(items) + end + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [f"{pad}{reference_render(v, indent, level + 1)}" for v in value]
+        return "[" + ",".join(items) + end + "]"
+    raise InvalidParameterError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_dumps(value: Any, indent: int | None) -> str:
+    return reference_render(value, indent) + ("\n" if indent is not None else "")
+
+
+def reference_digest(value: Any) -> str:
+    return hashlib.sha256(reference_render(value, None).encode("utf-8")).hexdigest()
+
+
+def assert_matches_reference(payload: Any) -> None:
+    for indent in (None, 2):
+        assert report.dumps(payload, indent) == reference_dumps(payload, indent)
+    assert report.inputs_digest(payload) == reference_digest(payload)
+
+
+class Rate(float):
+    pass
+
+
+class Count(int):
+    def __str__(self) -> str:
+        return f"count-{int(self)}"
+
+
+class Label(str):
+    def __str__(self) -> str:
+        return "z-" + str.__str__(self)
+
+
+class Masked(dict):
+    """Item access differs from ``items()``, which the writer must follow."""
+
+    def __getitem__(self, key):
+        return "masked"
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+)
+# A small key alphabet makes sibling dicts share key sets, so the head cache
+# is hit at several levels; int and bool keys take the uncached path.
+KEYS = st.one_of(
+    st.sampled_from(["a", "b", "c", "stratum_id"]), st.text(max_size=3), st.integers(-2, 2), st.booleans()
+)
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+def test_writer_matches_reference(payload):
+    assert_matches_reference(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param([{1: "a"}, {True: "b"}], id="int-and-bool-keys-in-sibling-dicts"),
+        pytest.param([{True: "b"}, {1: "a"}, {1.0: "c"}], id="equal-non-str-keys-in-sibling-dicts"),
+        pytest.param(
+            {"a": {"a": 1, "b": [2]}, "b": [{"a": 3, "b": [4]}, {"b": 5, "a": 6}]},
+            id="one-key-set-at-two-levels",
+        ),
+        pytest.param([{"a": 1}, {Label("a"): 2}], id="str-subclass-key-after-equal-str-key"),
+        pytest.param([{"a": 1, "b": [2]}, Masked(a=1, b=[2])], id="dict-subclass-after-equal-dict"),
+        pytest.param({"m": MappingProxyType({"b": 1, "a": [MappingProxyType({})]})}, id="mapping-proxy"),
+        pytest.param([Rate(0.1), Rate(3.0), Count(7), Label("xé")], id="scalar-subclasses"),
+        pytest.param({"a": {}, "b": [], "c": (), "d": [{}, [], ()]}, id="empty-containers"),
+        pytest.param({}, id="empty-dict"),
+        pytest.param([], id="empty-list"),
+        pytest.param("café \"quoted\"\n", id="top-level-string"),
+        pytest.param(-0.0, id="negative-zero"),
+        pytest.param([1e300, 5e-324, 2.0**53, 123456789.0], id="float-extremes"),
+    ],
+)
+def test_named_payloads_match_reference(payload):
+    assert_matches_reference(payload)
+
+
+def test_digest_spans_many_pieces():
+    cells = [{"stratum_id": f"S{i % 20:02d}", "patients": float(i % 500), "mortality_rate": i / 1e4}
+             for i in range(20_000)]
+    payload = {"hospitals": [{"hospital_id": f"H{h}", "cells": cells[h::100]} for h in range(100)], "scheme": "x"}
+    assert report.inputs_digest(payload) == reference_digest(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [nan, inf, -inf, {"a": [1.0, nan]}, Rate(inf), {"a": {1, 2}}, [object()], b"bytes"],
+    ids=["nan", "inf", "-inf", "nested-nan", "float-subclass-inf", "set", "object", "bytes"],
+)
+def test_unserializable_payloads_raise(payload):
+    with pytest.raises(InvalidParameterError) as expected:
+        reference_dumps(payload, None)
+    for write in (report.inputs_digest, report.dumps, lambda p: report.dumps(p, None)):
+        with pytest.raises(InvalidParameterError) as got:
+            write(payload)
+        assert str(got.value) == str(expected.value)
