@@ -35,7 +35,19 @@ CASES = {
     "audit_seed0.json": [
         "audit", "--seed", "0", "--trials", "10000", "--measure", "constant", "--measure", "actual-rate",
     ],
-    "scenario_expected_ext.json": ["scenario", "--name", "expected-ext", "--check-claims"],
+    **{
+        f"scenario_{name.replace('-', '_')}.json": ["scenario", "--name", name, "--check-claims"]
+        for name in (
+            "casemix-ext", "scale-ext", "actual-ext", "expected-ext",
+            "casemix-int", "scale-int", "actual-int",
+        )
+    },
+    "scenario_actual_int_w11_0.6.json": [
+        "scenario", "--name", "actual-int", "--override", "w11=0.6", "--check-claims",
+    ],
+    "scenario_actual_int_w11_1.0.json": [
+        "scenario", "--name", "actual-int", "--override", "w11=1.0", "--check-claims",
+    ],
 }
 
 
