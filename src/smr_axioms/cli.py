@@ -309,6 +309,7 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     failed = False
     if args.expect_paper:
         ok = audit_mod.matches_expected_matrix(matrix)
+        inputs["expect_paper"] = True
         results["expected_matrix_ok"] = ok
         failed = not ok
     payload = report.make_report("audit", inputs, results)

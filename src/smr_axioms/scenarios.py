@@ -23,6 +23,12 @@ actual-int              internal  p11        higher mortality can lower
                                              the ratio (share-dependent)
 ======================  ========  =========  ==============================
 
+Each scenario is one :class:`Scenario` row of that table: its
+parameter, the parameter's valid range (scale factors exclude 0), its
+default grid, the builder of its world, its claims and the override
+keys it accepts (actual-int alone takes one, ``w11``, hospital 1's share
+of stratum 1). ``SCENARIO_NAMES`` lists the rows in table order.
+
 Default grids: integer steps for patient shifts, 0.1 for scale factors
 over [1, 5], 0.005 for rate sweeps. The grids are a presentation choice
 (recorded in the sweep metadata), not part of the configurations.
@@ -31,25 +37,45 @@ over [1, 5], 0.005 for rate sweeps. The grids are a presentation choice
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite
 from typing import Callable, Mapping
 
 from . import core
 from .core import Cohort, ExternalStandard, HospitalId, Scheme, World
 from .errors import ParameterOutOfRangeError, UnknownHospitalError, InvalidParameterError
 
-SCENARIO_NAMES = (
-    "casemix-ext",
-    "scale-ext",
-    "actual-ext",
-    "expected-ext",
-    "casemix-int",
-    "scale-int",
-    "actual-int",
-)
-
 #: Refinement target for crossing detection: |SMR_a - SMR_b| at the result.
 CROSSING_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One built-in example: a row of the scenario table."""
+
+    name: str
+    parameter: str
+    #: valid parameter range, closed unless ``open_low`` excludes its lower end
+    valid: tuple[float, float]
+    #: (min, max, step) of the default sweep
+    default_grid: tuple[float, float, float]
+    build: Callable[[float, Mapping[str, float]], World]
+    claims: Callable[[SweepSeries], list[ClaimResult]]
+    open_low: bool = False
+    overrides: tuple[str, ...] = ()
+
+    def check(self, at: float) -> None:
+        lo, hi = self.valid
+        if not ((at > lo if self.open_low else at >= lo) and at <= hi):
+            raise ParameterOutOfRangeError(
+                f"{self.parameter} = {at!r} outside the valid range of {self.name}"
+            )
+
+
+def _scenario(name: str) -> Scenario:
+    try:
+        return _SCENARIOS[name]
+    except KeyError:
+        raise InvalidParameterError(f"unknown scenario {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -58,7 +84,8 @@ class ScenarioSpec:
 
     ``grid`` holds explicit parameter values; :meth:`default` builds the
     standard grid, optionally overridden by min/max/step. ``overrides``
-    carries scenario constants such as ``w11`` for actual-int.
+    carries scenario constants such as ``w11`` for actual-int; a key the
+    scenario does not accept is an error.
     """
 
     name: str
@@ -66,19 +93,23 @@ class ScenarioSpec:
     overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.name not in SCENARIO_NAMES:
-            raise InvalidParameterError(f"unknown scenario {self.name!r}")
+        scenario = _scenario(self.name)
         if not self.grid:
             raise InvalidParameterError("parameter grid must be non-empty")
         object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
         object.__setattr__(self, "overrides", dict(self.overrides))
-        lo, hi = _RANGES[self.name]
+        for key in self.overrides:
+            if key not in scenario.overrides:
+                raise InvalidParameterError(
+                    f"scenario {self.name!r} takes no override {key!r}"
+                    f" (accepted: {', '.join(scenario.overrides) or 'none'})"
+                )
         for x in self.grid:
-            _check_range(self.name, x, lo, hi)
+            scenario.check(x)
 
     @property
     def parameter(self) -> str:
-        return _PARAMETERS[self.name]
+        return _SCENARIOS[self.name].parameter
 
     @property
     def scheme(self) -> Scheme:
@@ -93,9 +124,7 @@ class ScenarioSpec:
         hi: float | None = None,
         step: float | None = None,
     ) -> "ScenarioSpec":
-        if name not in _DEFAULT_GRIDS:
-            raise InvalidParameterError(f"unknown scenario {name!r}")
-        d_lo, d_hi, d_step = _DEFAULT_GRIDS[name]
+        d_lo, d_hi, d_step = _scenario(name).default_grid
         lo = d_lo if lo is None else lo
         hi = d_hi if hi is None else hi
         step = d_step if step is None else step
@@ -127,117 +156,11 @@ class SweepSeries:
             raise UnknownHospitalError(f"hospital {hospital!r} not in series") from None
 
 
-_PARAMETERS = {
-    "casemix-ext": "eta",
-    "scale-ext": "lambda",
-    "actual-ext": "p11",
-    "expected-ext": "p1e",
-    "casemix-int": "eta",
-    "scale-int": "lambda",
-    "actual-int": "p11",
-}
-
-_RANGES: dict[str, tuple[float, float]] = {
-    "casemix-ext": (0.0, 20.0),
-    "scale-ext": (0.0, float("inf")),  # exclusive at 0
-    "actual-ext": (0.0, 1.0),
-    "expected-ext": (0.0, 1.0),
-    "casemix-int": (0.0, 50.0),
-    "scale-int": (0.0, float("inf")),
-    "actual-int": (0.0, 1.0),
-}
-
-_DEFAULT_GRIDS: dict[str, tuple[float, float, float]] = {
-    "casemix-ext": (0.0, 20.0, 1.0),
-    "scale-ext": (1.0, 5.0, 0.1),
-    "actual-ext": (0.0, 1.0, 0.005),
-    "expected-ext": (0.01, 0.3, 0.005),
-    "casemix-int": (0.0, 50.0, 1.0),
-    "scale-int": (1.0, 5.0, 0.1),
-    "actual-int": (0.0, 1.0, 0.005),
-}
-
-
-def _check_range(name: str, at: float, lo: float, hi: float) -> None:
-    open_low = name in ("scale-ext", "scale-int")
-    inside = (at > lo if open_low else at >= lo) and at <= hi
-    if not inside:
-        raise ParameterOutOfRangeError(
-            f"{_PARAMETERS[name]} = {at!r} outside the valid range of {name}"
-        )
-
-
-def _build_casemix_ext(eta: float, _: Mapping[str, float]) -> World:
-    cohort = Cohort.build({
-        "H1": {"1": (20.0 - eta, 0.2), "2": (eta, 0.1), "3": (5.0, 0.2)},
-        "H2": {"1": (20.0 - eta, 0.2), "2": (eta, 0.1), "3": (5.0, 0.1)},
-    })
-    return World(cohort, ExternalStandard({"1": 0.2, "2": 0.1, "3": 0.15}))
-
-
-def _build_scale_ext(lam: float, _: Mapping[str, float]) -> World:
-    cohort = Cohort.build({"H1": {"1": (20.0 * lam, 0.05), "2": (40.0 * lam, 0.15)}})
-    return World(cohort, ExternalStandard({"1": 0.1, "2": 0.1}))
-
-
-def _build_actual_ext(p11: float, _: Mapping[str, float]) -> World:
-    cohort = Cohort.build({
-        "H1": {"1": (5.0, p11), "2": (5.0, 0.15)},
-        "H2": {"1": (5.0, p11), "3": (5.0, 0.3)},
-    })
-    return World(cohort, ExternalStandard({"1": 0.1, "2": 0.15, "3": 0.3}))
-
-
-def _build_expected_ext(p1e: float, _: Mapping[str, float]) -> World:
-    cohort = Cohort.build({
-        "H1": {"1": (5.0, 0.1), "2": (5.0, 0.2)},
-        "H2": {"1": (5.0, 0.1), "2": (15.0, 0.15)},
-    })
-    return World(cohort, ExternalStandard({"1": p1e, "2": 0.1}))
-
-
-def _build_casemix_int(eta: float, _: Mapping[str, float]) -> World:
-    return World(Cohort.build({
-        "H1": {"1": (50.0 - eta, 0.1), "2": (eta, 0.3)},
-        "H2": {"1": (25.0, 0.1), "2": (10.0, 0.1)},
-    }))
-
-
-def _build_scale_int(lam: float, _: Mapping[str, float]) -> World:
-    return World(Cohort.build({
-        "H1": {"1": (50.0 * lam, 0.3), "2": (50.0 * lam, 0.2), "3": (0.0, None)},
-        "H2": {"1": (50.0, 0.1), "2": (100.0, 0.1), "3": (0.0, None)},
-        "H3": {"1": (0.0, None), "2": (10.0, 0.25), "3": (10.0, 0.2)},
-    }))
-
-
-def _build_actual_int(p11: float, overrides: Mapping[str, float]) -> World:
-    w11 = float(overrides.get("w11", 0.8))
-    if not 0.0 <= w11 <= 1.0:
-        raise ParameterOutOfRangeError(f"w11 = {w11!r} outside [0, 1]")
-    return World(Cohort.build({
-        "H1": {"1": (100.0 * w11, p11), "2": (50.0, 0.4)},
-        "H2": {"1": (100.0 * (1.0 - w11), 0.1), "2": (50.0, 0.1)},
-        "H3": {"1": (0.0, None), "2": (40.0, 0.3)},
-    }))
-
-
-_BUILDERS: dict[str, Callable[[float, Mapping[str, float]], World]] = {
-    "casemix-ext": _build_casemix_ext,
-    "scale-ext": _build_scale_ext,
-    "actual-ext": _build_actual_ext,
-    "expected-ext": _build_expected_ext,
-    "casemix-int": _build_casemix_int,
-    "scale-int": _build_scale_int,
-    "actual-int": _build_actual_int,
-}
-
-
 def build_scenario(spec: ScenarioSpec, at: float) -> World:
     """Materialize the scenario at one parameter value."""
-    lo, hi = _RANGES[spec.name]
-    _check_range(spec.name, at, lo, hi)
-    return _BUILDERS[spec.name](float(at), spec.overrides)
+    scenario = _SCENARIOS[spec.name]
+    scenario.check(at)
+    return scenario.build(float(at), spec.overrides)
 
 
 def evaluate(world: World, hospital: HospitalId) -> float:
@@ -303,7 +226,7 @@ def find_crossing(series: SweepSeries, a: HospitalId, b: HospitalId) -> float | 
 class ClaimResult:
     name: str
     passed: bool
-    detail: str
+    detail: str = ""
 
 
 def _strictly(direction: str, values: tuple[float, ...]) -> bool:
@@ -323,73 +246,167 @@ def slope_sign_changes(values: tuple[float, ...]) -> int:
 
 def check_claims(spec: ScenarioSpec) -> list[ClaimResult]:
     """Verify the scenario's qualitative series claims on its default grid."""
-    checks: list[ClaimResult] = []
+    return _SCENARIOS[spec.name].claims(run_sweep(spec))
 
-    def claim(name: str, passed: bool, detail: str = "") -> None:
-        checks.append(ClaimResult(name, bool(passed), detail))
 
-    series = run_sweep(spec)
-    name = spec.name
+# ---------------------------------------------------------------------------
+# the scenario table
+# ---------------------------------------------------------------------------
 
-    if name == "casemix-ext":
-        claim("h1-strictly-increasing", _strictly("increasing", series.hospital("H1")))
-        claim("h2-strictly-decreasing", _strictly("decreasing", series.hospital("H2")))
-        claim("no-crossing", find_crossing(series, "H1", "H2") is None)
-    elif name == "scale-ext":
-        h1 = series.hospital("H1")
-        claim("series-constant", all(abs(v - h1[0]) <= core.EXACT_TOL for v in h1),
-              f"ratio stays {h1[0]!r}")
-    elif name == "actual-ext":
-        at_standard = build_scenario(spec, 0.1)
-        v1 = evaluate(at_standard, "H1")
-        v2 = evaluate(at_standard, "H2")
-        claim("equal-ratios-at-standard",
-              abs(v1 - 1.0) <= core.EXACT_TOL and abs(v2 - 1.0) <= core.EXACT_TOL,
-              f"H1={v1!r} H2={v2!r} at p11=0.1")
-        ordered = True
-        for x, va, vb in zip(series.values, series.hospital("H1"), series.hospital("H2")):
-            d = va - vb
-            if abs(d) <= core.EXACT_TOL:
-                continue
-            if (d > 0.0) != (x > 0.1):
-                ordered = False
-                break
-        claim("ranking-flips-at-standard", ordered)
-    elif name == "expected-ext":
-        x = find_crossing(series, "H1", "H2")
-        claim("crossing-at-0.14", x is not None and abs(x - 0.14) <= 1e-6,
-              f"crossing at {x!r}")
-    elif name == "casemix-int":
-        h1 = series.hospital("H1")
-        changes = slope_sign_changes(h1)
-        rises_then_falls = h1[1] > h1[0] and h1[-1] < max(h1)
-        claim("h1-single-interior-maximum", changes == 1 and rises_then_falls,
-              f"{changes} slope sign change(s)")
-        claim("h2-strictly-decreasing", _strictly("decreasing", series.hospital("H2")))
-    elif name == "scale-int":
-        x = find_crossing(series, "H1", "H3")
-        claim("h1-h3-crossing-between-2-and-3", x is not None and 2.0 < x < 3.0,
-              f"crossing at {x!r}")
-        far = evaluate(build_scenario(spec, 1e6), "H1")
-        claim("h1-approaches-unity", abs(far - 1.0) < 1e-3, f"ratio {far!r} at lambda=1e6")
-        lams = [float(2 ** k) for k in range(20)] + [1e6]
-        lams.sort()
-        gaps = [abs(evaluate(build_scenario(spec, lam), "H1") - 1.0) for lam in lams]
-        claim("h1-monotone-approach",
-              all(b <= a for a, b in zip(gaps, gaps[1:])),
-              "gap to 1 non-increasing on a geometric grid")
-    elif name == "actual-int":
-        w11 = float(spec.overrides.get("w11", 0.8))
-        window = [i for i, x in enumerate(series.values) if 0.4 - 1e-9 <= x <= 1.0 + 1e-9]
-        h1 = tuple(series.hospital("H1")[i] for i in window)
-        if abs(w11 - 0.6) <= 1e-9:
-            claim("h1-strictly-increasing", _strictly("increasing", series.hospital("H1")))
-        elif w11 >= 0.8 - 1e-9:
-            claim("h1-strictly-decreasing-on-[0.4,1]", _strictly("decreasing", h1))
-        h3 = series.hospital("H3")
-        claim("h3-unaffected", _strictly("constant", h3))
-        if w11 < 1.0 - 1e-9:
-            claim("h2-strictly-decreasing", _strictly("decreasing", series.hospital("H2")))
-        else:
-            claim("h2-unaffected", _strictly("constant", series.hospital("H2")))
-    return checks
+
+def _build_casemix_ext(eta: float, _: Mapping[str, float]) -> World:
+    cohort = Cohort.build({
+        "H1": {"1": (20.0 - eta, 0.2), "2": (eta, 0.1), "3": (5.0, 0.2)},
+        "H2": {"1": (20.0 - eta, 0.2), "2": (eta, 0.1), "3": (5.0, 0.1)},
+    })
+    return World(cohort, ExternalStandard({"1": 0.2, "2": 0.1, "3": 0.15}))
+
+
+def _claims_casemix_ext(series: SweepSeries) -> list[ClaimResult]:
+    return [
+        ClaimResult("h1-strictly-increasing", _strictly("increasing", series.hospital("H1"))),
+        ClaimResult("h2-strictly-decreasing", _strictly("decreasing", series.hospital("H2"))),
+        ClaimResult("no-crossing", find_crossing(series, "H1", "H2") is None),
+    ]
+
+
+def _build_scale_ext(lam: float, _: Mapping[str, float]) -> World:
+    cohort = Cohort.build({"H1": {"1": (20.0 * lam, 0.05), "2": (40.0 * lam, 0.15)}})
+    return World(cohort, ExternalStandard({"1": 0.1, "2": 0.1}))
+
+
+def _claims_scale_ext(series: SweepSeries) -> list[ClaimResult]:
+    h1 = series.hospital("H1")
+    constant = all(abs(v - h1[0]) <= core.EXACT_TOL for v in h1)
+    return [ClaimResult("series-constant", constant, f"ratio stays {h1[0]!r}")]
+
+
+def _build_actual_ext(p11: float, _: Mapping[str, float]) -> World:
+    cohort = Cohort.build({
+        "H1": {"1": (5.0, p11), "2": (5.0, 0.15)},
+        "H2": {"1": (5.0, p11), "3": (5.0, 0.3)},
+    })
+    return World(cohort, ExternalStandard({"1": 0.1, "2": 0.15, "3": 0.3}))
+
+
+def _claims_actual_ext(series: SweepSeries) -> list[ClaimResult]:
+    at_standard = build_scenario(series.spec, 0.1)
+    v1 = evaluate(at_standard, "H1")
+    v2 = evaluate(at_standard, "H2")
+    # away from the standard's p11 = 0.1, H1 ranks above H2 exactly when p11 > 0.1
+    ordered = all(
+        (va - vb > 0.0) == (x > 0.1)
+        for x, va, vb in zip(series.values, series.hospital("H1"), series.hospital("H2"))
+        if abs(va - vb) > core.EXACT_TOL
+    )
+    return [
+        ClaimResult("equal-ratios-at-standard",
+                    abs(v1 - 1.0) <= core.EXACT_TOL and abs(v2 - 1.0) <= core.EXACT_TOL,
+                    f"H1={v1!r} H2={v2!r} at p11=0.1"),
+        ClaimResult("ranking-flips-at-standard", ordered),
+    ]
+
+
+def _build_expected_ext(p1e: float, _: Mapping[str, float]) -> World:
+    cohort = Cohort.build({
+        "H1": {"1": (5.0, 0.1), "2": (5.0, 0.2)},
+        "H2": {"1": (5.0, 0.1), "2": (15.0, 0.15)},
+    })
+    return World(cohort, ExternalStandard({"1": p1e, "2": 0.1}))
+
+
+def _claims_expected_ext(series: SweepSeries) -> list[ClaimResult]:
+    x = find_crossing(series, "H1", "H2")
+    near = x is not None and abs(x - 0.14) <= 1e-6
+    return [ClaimResult("crossing-at-0.14", near, f"crossing at {x!r}")]
+
+
+def _build_casemix_int(eta: float, _: Mapping[str, float]) -> World:
+    return World(Cohort.build({
+        "H1": {"1": (50.0 - eta, 0.1), "2": (eta, 0.3)},
+        "H2": {"1": (25.0, 0.1), "2": (10.0, 0.1)},
+    }))
+
+
+def _claims_casemix_int(series: SweepSeries) -> list[ClaimResult]:
+    h1 = series.hospital("H1")
+    changes = slope_sign_changes(h1)
+    rises_then_falls = h1[1] > h1[0] and h1[-1] < max(h1)
+    return [
+        ClaimResult("h1-single-interior-maximum", changes == 1 and rises_then_falls,
+                    f"{changes} slope sign change(s)"),
+        ClaimResult("h2-strictly-decreasing", _strictly("decreasing", series.hospital("H2"))),
+    ]
+
+
+def _build_scale_int(lam: float, _: Mapping[str, float]) -> World:
+    return World(Cohort.build({
+        "H1": {"1": (50.0 * lam, 0.3), "2": (50.0 * lam, 0.2), "3": (0.0, None)},
+        "H2": {"1": (50.0, 0.1), "2": (100.0, 0.1), "3": (0.0, None)},
+        "H3": {"1": (0.0, None), "2": (10.0, 0.25), "3": (10.0, 0.2)},
+    }))
+
+
+def _claims_scale_int(series: SweepSeries) -> list[ClaimResult]:
+    x = find_crossing(series, "H1", "H3")
+    far = evaluate(build_scenario(series.spec, 1e6), "H1")
+    lams = sorted([float(2 ** k) for k in range(20)] + [1e6])
+    gaps = [abs(evaluate(build_scenario(series.spec, lam), "H1") - 1.0) for lam in lams]
+    return [
+        ClaimResult("h1-h3-crossing-between-2-and-3", x is not None and 2.0 < x < 3.0,
+                    f"crossing at {x!r}"),
+        ClaimResult("h1-approaches-unity", abs(far - 1.0) < 1e-3, f"ratio {far!r} at lambda=1e6"),
+        ClaimResult("h1-monotone-approach", all(b <= a for a, b in zip(gaps, gaps[1:])),
+                    "gap to 1 non-increasing on a geometric grid"),
+    ]
+
+
+def _build_actual_int(p11: float, overrides: Mapping[str, float]) -> World:
+    w11 = float(overrides.get("w11", 0.8))
+    if not 0.0 <= w11 <= 1.0:
+        raise ParameterOutOfRangeError(f"w11 = {w11!r} outside [0, 1]")
+    return World(Cohort.build({
+        "H1": {"1": (100.0 * w11, p11), "2": (50.0, 0.4)},
+        "H2": {"1": (100.0 * (1.0 - w11), 0.1), "2": (50.0, 0.1)},
+        "H3": {"1": (0.0, None), "2": (40.0, 0.3)},
+    }))
+
+
+def _claims_actual_int(series: SweepSeries) -> list[ClaimResult]:
+    w11 = float(series.spec.overrides.get("w11", 0.8))
+    h1, h2 = series.hospital("H1"), series.hospital("H2")
+    claims = []
+    if abs(w11 - 0.6) <= 1e-9:
+        claims.append(ClaimResult("h1-strictly-increasing", _strictly("increasing", h1)))
+    elif w11 >= 0.8 - 1e-9:
+        window = tuple(v for x, v in zip(series.values, h1) if 0.4 - 1e-9 <= x <= 1.0 + 1e-9)
+        claims.append(ClaimResult("h1-strictly-decreasing-on-[0.4,1]", _strictly("decreasing", window)))
+    claims.append(ClaimResult("h3-unaffected", _strictly("constant", series.hospital("H3"))))
+    if w11 < 1.0 - 1e-9:
+        claims.append(ClaimResult("h2-strictly-decreasing", _strictly("decreasing", h2)))
+    else:
+        claims.append(ClaimResult("h2-unaffected", _strictly("constant", h2)))
+    return claims
+
+
+_SCENARIOS = {
+    s.name: s
+    for s in (
+        Scenario("casemix-ext", "eta", (0.0, 20.0), (0.0, 20.0, 1.0),
+                 _build_casemix_ext, _claims_casemix_ext),
+        Scenario("scale-ext", "lambda", (0.0, inf), (1.0, 5.0, 0.1),
+                 _build_scale_ext, _claims_scale_ext, open_low=True),
+        Scenario("actual-ext", "p11", (0.0, 1.0), (0.0, 1.0, 0.005),
+                 _build_actual_ext, _claims_actual_ext),
+        Scenario("expected-ext", "p1e", (0.0, 1.0), (0.01, 0.3, 0.005),
+                 _build_expected_ext, _claims_expected_ext),
+        Scenario("casemix-int", "eta", (0.0, 50.0), (0.0, 50.0, 1.0),
+                 _build_casemix_int, _claims_casemix_int),
+        Scenario("scale-int", "lambda", (0.0, inf), (1.0, 5.0, 0.1),
+                 _build_scale_int, _claims_scale_int, open_low=True),
+        Scenario("actual-int", "p11", (0.0, 1.0), (0.0, 1.0, 0.005),
+                 _build_actual_int, _claims_actual_int, overrides=("w11",)),
+    )
+}
+
+SCENARIO_NAMES = tuple(_SCENARIOS)

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smr_axioms import (
     AXIOMS,
@@ -100,6 +101,22 @@ class TestBuiltinMatrix:
         witness = matrix.row("smr-internal").verdicts[0].witness
         assert witness.value_after < witness.value_before
         assert witness.perturbation["delta"] > 0.0
+
+
+class TestWitnessRoundTrip:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_every_witness_replays_through_json(self, seed, trials):
+        matrix = run_audit([REGISTRY["constant"], REGISTRY["actual-rate"]], seed=seed, trials=trials)
+        for row in matrix.rows:
+            for verdict in row.verdicts:
+                if verdict.witness is None:
+                    continue
+                text = dumps(witness_payload(verdict.witness))
+                rebuilt = witness_from_payload(json.loads(text))
+                assert dumps(witness_payload(rebuilt)) == text
+                before, after = replay(REGISTRY[row.measure], rebuilt)
+                assert (before, after) == (verdict.witness.value_before, verdict.witness.value_after)
 
 
 class TestDeterminism:

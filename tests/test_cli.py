@@ -8,6 +8,7 @@ import pytest
 from smr_axioms.cli import main
 from smr_axioms.csvio import emit_hospitals, emit_standard, ingest, load_hospitals
 from smr_axioms.errors import ValidationError
+from smr_axioms.report import inputs_digest
 
 from worlds import random_cohort, random_standard
 
@@ -318,6 +319,13 @@ class TestAuditCommand:
         assert code == 0
         assert all(v["trials"] >= 1 for row in payload["results"]["matrix"] for v in row["verdicts"])
 
+    def test_expect_paper_is_in_inputs_digest(self, capsys):
+        _, plain = run_json(capsys, ["audit", "--trials", "0"])
+        _, expecting = run_json(capsys, ["audit", "--trials", "0", "--expect-paper"])
+        inputs = {"seed": 0, "trials": 0, "measures": []}
+        assert plain["inputs_digest"] == inputs_digest(inputs)
+        assert expecting["inputs_digest"] == inputs_digest({**inputs, "expect_paper": True})
+
     def test_csv_format(self, capsys):
         code = main(["audit", "--trials", "30", "--format", "csv"])
         out = capsys.readouterr().out
@@ -354,6 +362,18 @@ class TestScenarioCommand:
         assert code == 0
         h1 = payload["results"]["series"]["H1"]
         assert all(b > a for a, b in zip(h1, h1[1:]))
+
+    @pytest.mark.parametrize(
+        "name, override",
+        [("actual-int", "W11=0.6"), ("casemix-ext", "w11=0.5")],
+        ids=["misspelt-key", "key-of-another-scenario"],
+    )
+    def test_override_the_scenario_does_not_take(self, name, override, capsys):
+        code = main(["scenario", "--name", name, "--override", override, "--check-claims"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"takes no override {override.split('=')[0]!r}" in captured.err
 
     def test_bad_override_usage_error(self):
         with pytest.raises(SystemExit) as exc:
