@@ -20,14 +20,12 @@ configurations known to break each measure) followed by seeded random
 probes, and reports the first counterexample as a replayable witness.
 "Holds" always means "no violation found in N trials", never a proof.
 
-Each requirement is one row of a table: its name, its check, its
-hand-built probes for each scheme and the :class:`ProbeGenerator`
-method that draws its random probes. ``AXIOMS``, :func:`mandatory_probes`
-and :meth:`ProbeGenerator.stream` are read from that table. The checks
-share two drivers. The perturbation driver serves monotonicity, case
-mix and scale: each probe type perturbs one hospital's table and
-describes the move. The pair driver serves equivalence and dominance:
-it admits a pair only once its declared relation is verified.
+Each requirement is one row of a table (name, check, hand-built probes
+per scheme, :class:`ProbeGenerator` method) that ``AXIOMS``,
+:func:`mandatory_probes` and :meth:`ProbeGenerator.stream` read.
+Monotonicity, case mix and scale share a perturbation driver: each probe
+type perturbs one hospital and describes the move. Equivalence and
+dominance share a pair driver that admits a pair once its relation holds.
 
 Violation comparisons use ``EXACT_TOL`` (1e-12) for the insensitivity
 and monotonicity checks and ``DERIVED_TOL`` (1e-9) for pair equality; a
@@ -271,11 +269,7 @@ def _verdict(axiom: str, probes_run: int, witness: Witness | None) -> AxiomVerdi
 def _check_perturbations(
     axiom: str, measure: Measure, probes: Iterable, violated: Callable[[float], bool]
 ) -> AxiomVerdict:
-    """Evaluate each probe's hospital before and after the probe's perturbation.
-
-    ``violated`` judges the move ``after - before``; the first violating
-    probe becomes the witness.
-    """
+    """Judge each probe's move ``after - before``; the first violation is the witness."""
     ran = 0
     for probe in probes:
         ran += 1
@@ -300,13 +294,7 @@ def _check_pairs(
     violated: Callable[[float, float], bool],
     detail: str,
 ) -> AxiomVerdict:
-    """Evaluate both hospitals of each pair that ``admit`` lets through.
-
-    ``admit`` raises ``IncomparableProbeError`` for a pair whose relation
-    does not hold and returns the relation the witness records.
-    ``violated`` judges the two values; ``detail`` is formatted with
-    ``relation``, ``va`` and ``vb``.
-    """
+    """Judge each admitted pair; ``admit`` raises or names the relation to record."""
     ran = 0
     for probe in probes:
         ran += 1
@@ -582,7 +570,7 @@ class ProbeGenerator:
             yield PairProbe(World(Cohort((a, b)), standard), "A", "B", "dominates")
 
     def stream(self, axiom: str, scheme: Scheme) -> Iterator:
-        return _row(axiom).generate(self, scheme)
+        return _ROWS[axiom].generate(self, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +580,7 @@ class ProbeGenerator:
 
 @dataclass(frozen=True)
 class _Axiom:
-    """One requirement: its check, its hand-built probes for a measure of a
-    given scheme, and the :class:`ProbeGenerator` method drawing random ones."""
+    """One requirement; ``check`` holds its tolerance as the ``tol`` default."""
 
     name: str
     check: Callable[[Measure, Iterable], AxiomVerdict]
@@ -618,13 +605,6 @@ _ROWS = {
 AXIOMS = tuple(_ROWS)
 
 
-def _row(axiom: str) -> _Axiom:
-    try:
-        return _ROWS[axiom]
-    except KeyError:
-        raise InvalidParameterError(f"unknown axiom {axiom!r}") from None
-
-
 def mandatory_probes(axiom: str, scheme: Scheme) -> list:
     """Deterministic probes drawn from the built-in worked examples.
 
@@ -632,7 +612,9 @@ def mandatory_probes(axiom: str, scheme: Scheme) -> list:
     random probing starts, so the audit's verdict on the two ratio
     measures never depends on the seed.
     """
-    return _row(axiom).mandatory(scheme)
+    if axiom not in _ROWS:
+        raise InvalidParameterError(f"unknown axiom {axiom!r}")
+    return _ROWS[axiom].mandatory(scheme)
 
 
 def _cell_seed(seed: int, measure: str, axiom: str) -> int:

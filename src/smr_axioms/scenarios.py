@@ -71,13 +71,6 @@ class Scenario:
             )
 
 
-def _scenario(name: str) -> Scenario:
-    try:
-        return _SCENARIOS[name]
-    except KeyError:
-        raise InvalidParameterError(f"unknown scenario {name!r}") from None
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A named scenario plus the parameter grid to sweep.
@@ -93,11 +86,13 @@ class ScenarioSpec:
     overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        scenario = _scenario(self.name)
+        if self.name not in _SCENARIOS:
+            raise InvalidParameterError(f"unknown scenario {self.name!r}")
         if not self.grid:
             raise InvalidParameterError("parameter grid must be non-empty")
         object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
         object.__setattr__(self, "overrides", dict(self.overrides))
+        scenario = _SCENARIOS[self.name]
         for key in self.overrides:
             if key not in scenario.overrides:
                 raise InvalidParameterError(
@@ -124,7 +119,9 @@ class ScenarioSpec:
         hi: float | None = None,
         step: float | None = None,
     ) -> "ScenarioSpec":
-        d_lo, d_hi, d_step = _scenario(name).default_grid
+        if name not in _SCENARIOS:
+            raise InvalidParameterError(f"unknown scenario {name!r}")
+        d_lo, d_hi, d_step = _SCENARIOS[name].default_grid
         lo = d_lo if lo is None else lo
         hi = d_hi if hi is None else hi
         step = d_step if step is None else step
@@ -154,6 +151,61 @@ class SweepSeries:
             return self.series[hospital]
         except KeyError:
             raise UnknownHospitalError(f"hospital {hospital!r} not in series") from None
+
+
+def _build_casemix_ext(eta: float, _: Mapping[str, float]) -> World:
+    cohort = Cohort.build({
+        "H1": {"1": (20.0 - eta, 0.2), "2": (eta, 0.1), "3": (5.0, 0.2)},
+        "H2": {"1": (20.0 - eta, 0.2), "2": (eta, 0.1), "3": (5.0, 0.1)},
+    })
+    return World(cohort, ExternalStandard({"1": 0.2, "2": 0.1, "3": 0.15}))
+
+
+def _build_scale_ext(lam: float, _: Mapping[str, float]) -> World:
+    cohort = Cohort.build({"H1": {"1": (20.0 * lam, 0.05), "2": (40.0 * lam, 0.15)}})
+    return World(cohort, ExternalStandard({"1": 0.1, "2": 0.1}))
+
+
+def _build_actual_ext(p11: float, _: Mapping[str, float]) -> World:
+    cohort = Cohort.build({
+        "H1": {"1": (5.0, p11), "2": (5.0, 0.15)},
+        "H2": {"1": (5.0, p11), "3": (5.0, 0.3)},
+    })
+    return World(cohort, ExternalStandard({"1": 0.1, "2": 0.15, "3": 0.3}))
+
+
+def _build_expected_ext(p1e: float, _: Mapping[str, float]) -> World:
+    cohort = Cohort.build({
+        "H1": {"1": (5.0, 0.1), "2": (5.0, 0.2)},
+        "H2": {"1": (5.0, 0.1), "2": (15.0, 0.15)},
+    })
+    return World(cohort, ExternalStandard({"1": p1e, "2": 0.1}))
+
+
+def _build_casemix_int(eta: float, _: Mapping[str, float]) -> World:
+    return World(Cohort.build({
+        "H1": {"1": (50.0 - eta, 0.1), "2": (eta, 0.3)},
+        "H2": {"1": (25.0, 0.1), "2": (10.0, 0.1)},
+    }))
+
+
+def _build_scale_int(lam: float, _: Mapping[str, float]) -> World:
+    return World(Cohort.build({
+        "H1": {"1": (50.0 * lam, 0.3), "2": (50.0 * lam, 0.2), "3": (0.0, None)},
+        "H2": {"1": (50.0, 0.1), "2": (100.0, 0.1), "3": (0.0, None)},
+        "H3": {"1": (0.0, None), "2": (10.0, 0.25), "3": (10.0, 0.2)},
+    }))
+
+
+def _build_actual_int(p11: float, overrides: Mapping[str, float]) -> World:
+    w11 = float(overrides.get("w11", 0.8))
+    if not 0.0 <= w11 <= 1.0:
+        raise ParameterOutOfRangeError(f"w11 = {w11!r} outside [0, 1]")
+    return World(Cohort.build({
+        "H1": {"1": (100.0 * w11, p11), "2": (50.0, 0.4)},
+        "H2": {"1": (100.0 * (1.0 - w11), 0.1), "2": (50.0, 0.1)},
+        "H3": {"1": (0.0, None), "2": (40.0, 0.3)},
+    }))
 
 
 def build_scenario(spec: ScenarioSpec, at: float) -> World:
@@ -249,19 +301,6 @@ def check_claims(spec: ScenarioSpec) -> list[ClaimResult]:
     return _SCENARIOS[spec.name].claims(run_sweep(spec))
 
 
-# ---------------------------------------------------------------------------
-# the scenario table
-# ---------------------------------------------------------------------------
-
-
-def _build_casemix_ext(eta: float, _: Mapping[str, float]) -> World:
-    cohort = Cohort.build({
-        "H1": {"1": (20.0 - eta, 0.2), "2": (eta, 0.1), "3": (5.0, 0.2)},
-        "H2": {"1": (20.0 - eta, 0.2), "2": (eta, 0.1), "3": (5.0, 0.1)},
-    })
-    return World(cohort, ExternalStandard({"1": 0.2, "2": 0.1, "3": 0.15}))
-
-
 def _claims_casemix_ext(series: SweepSeries) -> list[ClaimResult]:
     return [
         ClaimResult("h1-strictly-increasing", _strictly("increasing", series.hospital("H1"))),
@@ -270,30 +309,17 @@ def _claims_casemix_ext(series: SweepSeries) -> list[ClaimResult]:
     ]
 
 
-def _build_scale_ext(lam: float, _: Mapping[str, float]) -> World:
-    cohort = Cohort.build({"H1": {"1": (20.0 * lam, 0.05), "2": (40.0 * lam, 0.15)}})
-    return World(cohort, ExternalStandard({"1": 0.1, "2": 0.1}))
-
-
 def _claims_scale_ext(series: SweepSeries) -> list[ClaimResult]:
     h1 = series.hospital("H1")
     constant = all(abs(v - h1[0]) <= core.EXACT_TOL for v in h1)
     return [ClaimResult("series-constant", constant, f"ratio stays {h1[0]!r}")]
 
 
-def _build_actual_ext(p11: float, _: Mapping[str, float]) -> World:
-    cohort = Cohort.build({
-        "H1": {"1": (5.0, p11), "2": (5.0, 0.15)},
-        "H2": {"1": (5.0, p11), "3": (5.0, 0.3)},
-    })
-    return World(cohort, ExternalStandard({"1": 0.1, "2": 0.15, "3": 0.3}))
-
-
 def _claims_actual_ext(series: SweepSeries) -> list[ClaimResult]:
     at_standard = build_scenario(series.spec, 0.1)
     v1 = evaluate(at_standard, "H1")
     v2 = evaluate(at_standard, "H2")
-    # away from the standard's p11 = 0.1, H1 ranks above H2 exactly when p11 > 0.1
+    # wherever the two ratios differ, H1's is the larger exactly when p11 > 0.1
     ordered = all(
         (va - vb > 0.0) == (x > 0.1)
         for x, va, vb in zip(series.values, series.hospital("H1"), series.hospital("H2"))
@@ -307,25 +333,10 @@ def _claims_actual_ext(series: SweepSeries) -> list[ClaimResult]:
     ]
 
 
-def _build_expected_ext(p1e: float, _: Mapping[str, float]) -> World:
-    cohort = Cohort.build({
-        "H1": {"1": (5.0, 0.1), "2": (5.0, 0.2)},
-        "H2": {"1": (5.0, 0.1), "2": (15.0, 0.15)},
-    })
-    return World(cohort, ExternalStandard({"1": p1e, "2": 0.1}))
-
-
 def _claims_expected_ext(series: SweepSeries) -> list[ClaimResult]:
     x = find_crossing(series, "H1", "H2")
     near = x is not None and abs(x - 0.14) <= 1e-6
     return [ClaimResult("crossing-at-0.14", near, f"crossing at {x!r}")]
-
-
-def _build_casemix_int(eta: float, _: Mapping[str, float]) -> World:
-    return World(Cohort.build({
-        "H1": {"1": (50.0 - eta, 0.1), "2": (eta, 0.3)},
-        "H2": {"1": (25.0, 0.1), "2": (10.0, 0.1)},
-    }))
 
 
 def _claims_casemix_int(series: SweepSeries) -> list[ClaimResult]:
@@ -337,14 +348,6 @@ def _claims_casemix_int(series: SweepSeries) -> list[ClaimResult]:
                     f"{changes} slope sign change(s)"),
         ClaimResult("h2-strictly-decreasing", _strictly("decreasing", series.hospital("H2"))),
     ]
-
-
-def _build_scale_int(lam: float, _: Mapping[str, float]) -> World:
-    return World(Cohort.build({
-        "H1": {"1": (50.0 * lam, 0.3), "2": (50.0 * lam, 0.2), "3": (0.0, None)},
-        "H2": {"1": (50.0, 0.1), "2": (100.0, 0.1), "3": (0.0, None)},
-        "H3": {"1": (0.0, None), "2": (10.0, 0.25), "3": (10.0, 0.2)},
-    }))
 
 
 def _claims_scale_int(series: SweepSeries) -> list[ClaimResult]:
@@ -359,17 +362,6 @@ def _claims_scale_int(series: SweepSeries) -> list[ClaimResult]:
         ClaimResult("h1-monotone-approach", all(b <= a for a, b in zip(gaps, gaps[1:])),
                     "gap to 1 non-increasing on a geometric grid"),
     ]
-
-
-def _build_actual_int(p11: float, overrides: Mapping[str, float]) -> World:
-    w11 = float(overrides.get("w11", 0.8))
-    if not 0.0 <= w11 <= 1.0:
-        raise ParameterOutOfRangeError(f"w11 = {w11!r} outside [0, 1]")
-    return World(Cohort.build({
-        "H1": {"1": (100.0 * w11, p11), "2": (50.0, 0.4)},
-        "H2": {"1": (100.0 * (1.0 - w11), 0.1), "2": (50.0, 0.1)},
-        "H3": {"1": (0.0, None), "2": (40.0, 0.3)},
-    }))
 
 
 def _claims_actual_int(series: SweepSeries) -> list[ClaimResult]:
@@ -387,6 +379,11 @@ def _claims_actual_int(series: SweepSeries) -> list[ClaimResult]:
     else:
         claims.append(ClaimResult("h2-unaffected", _strictly("constant", h2)))
     return claims
+
+
+# ---------------------------------------------------------------------------
+# the scenario table
+# ---------------------------------------------------------------------------
 
 
 _SCENARIOS = {

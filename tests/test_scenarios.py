@@ -100,6 +100,8 @@ class TestSpecValidation:
     def test_scale_zero_rejected(self):
         with pytest.raises(ParameterOutOfRangeError):
             build_scenario(ScenarioSpec.default("scale-ext"), 0.0)
+        with pytest.raises(ParameterOutOfRangeError):
+            build_scenario(ScenarioSpec.default("scale-int"), 0.0)
 
     def test_w11_range(self):
         with pytest.raises(ParameterOutOfRangeError):
