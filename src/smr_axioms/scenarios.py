@@ -63,7 +63,7 @@ class Scenario:
     open_low: bool = False
     overrides: tuple[str, ...] = ()
 
-    def check(self, at: float) -> None:
+    def check_range(self, at: float) -> None:
         lo, hi = self.valid
         if not ((at > lo if self.open_low else at >= lo) and at <= hi):
             raise ParameterOutOfRangeError(
@@ -100,7 +100,7 @@ class ScenarioSpec:
                     f" (accepted: {', '.join(scenario.overrides) or 'none'})"
                 )
         for x in self.grid:
-            scenario.check(x)
+            scenario.check_range(x)
 
     @property
     def parameter(self) -> str:
@@ -211,7 +211,7 @@ def _build_actual_int(p11: float, overrides: Mapping[str, float]) -> World:
 def build_scenario(spec: ScenarioSpec, at: float) -> World:
     """Materialize the scenario at one parameter value."""
     scenario = _SCENARIOS[spec.name]
-    scenario.check(at)
+    scenario.check_range(at)
     return scenario.build(float(at), spec.overrides)
 
 
