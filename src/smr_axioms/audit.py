@@ -47,6 +47,7 @@ from .core import (
     HospitalId,
     Rates,
     Scheme,
+    StratumCell,
     StratumId,
     StratumTable,
     World,
@@ -501,9 +502,7 @@ class ProbeGenerator:
         return [f"S{i}" for i in range(1, self._rng.randint(2, 6) + 1)]
 
     def _table(self, hospital: str, strata: Sequence[str]) -> StratumTable:
-        return StratumTable.build(
-            hospital, {sid: (self._count(), self._rate()) for sid in strata}
-        )
+        return StratumTable(hospital, {sid: StratumCell(self._count(), self._rate()) for sid in strata})
 
     def _standard(self, strata: Sequence[str]) -> ExternalStandard:
         return ExternalStandard({sid: self._rate() for sid in strata})
@@ -550,8 +549,8 @@ class ProbeGenerator:
                     for sid in strata
                 }
                 relation = "identical-deviations"
-            a = StratumTable.build("A", {s: (self._count(), rates[s]) for s in strata})
-            b = StratumTable.build("B", {s: (self._count(), rates[s]) for s in strata})
+            a = StratumTable("A", {s: StratumCell(self._count(), rates[s]) for s in strata})
+            b = StratumTable("B", {s: StratumCell(self._count(), rates[s]) for s in strata})
             tables = (a, b) if standard is not None else (a, b, self._table("C", strata))
             yield PairProbe(World(Cohort(tables), standard), "A", "B", relation)
 
@@ -564,8 +563,8 @@ class ProbeGenerator:
             for sid in strata:
                 if sid == cut or self._rng.random() < 0.5:
                     better[sid] = max(0.01, worse[sid] - self._rng.uniform(0.005, 0.04))
-            a = StratumTable.build("A", {s: (self._count(), better[s]) for s in strata})
-            b = StratumTable.build("B", {s: (self._count(), worse[s]) for s in strata})
+            a = StratumTable("A", {s: StratumCell(self._count(), better[s]) for s in strata})
+            b = StratumTable("B", {s: StratumCell(self._count(), worse[s]) for s in strata})
             standard = None if scheme == "internal" else self._standard(strata)
             yield PairProbe(World(Cohort((a, b)), standard), "A", "B", "dominates")
 

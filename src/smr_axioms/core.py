@@ -35,6 +35,11 @@ Cells with ``count == 0`` may carry a rate (it is ignored by all rate
 aggregations) or leave it undefined. A zero expected rate is a typed
 error, never an infinity.
 
+Each count and rate is validated once, when its ``StratumCell`` or
+``ExternalStandard`` is built. An in-range exact ``float`` costs one
+chained comparison; any other input is converted with ``float()`` and
+checked in full, and one that cannot be converted is refused as invalid.
+
 All values are immutable after construction and every operation is a
 pure function, so concurrent evaluation needs no coordination. Weighted
 sums use ``math.fsum``, which makes results independent of stratum and
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import fsum, isfinite
+from math import fsum, inf
 from typing import Collection, Iterator, Literal, Mapping, Union
 
 from .errors import (
@@ -72,9 +77,16 @@ EXTERNAL: Scheme = "external"
 INTERNAL: Scheme = "internal"
 
 
-def _check_rate(rate: float, what: str) -> float:
-    rate = float(rate)
-    if not (isfinite(rate) and 0.0 <= rate <= 1.0):
+def _as_float(value: object, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(f"{what} must be a number, got {value!r}") from None
+
+
+def _check_rate(rate: object, what: str) -> float:
+    rate = _as_float(rate, what)
+    if not 0.0 <= rate <= 1.0:
         raise InvalidParameterError(f"{what} must lie in [0, 1], got {rate!r}")
     return rate
 
@@ -104,15 +116,18 @@ class StratumCell:
     rate: float | None = None
 
     def __post_init__(self) -> None:
-        count = float(self.count)
-        if not (isfinite(count) and count >= 0.0):
-            raise InvalidParameterError(f"patient count must be >= 0, got {self.count!r}")
-        object.__setattr__(self, "count", count)
-        if self.rate is None:
+        # the chained comparisons also reject nan and inf
+        count, rate = self.count, self.rate
+        if type(count) is not float or not 0.0 <= count < inf:
+            count = _as_float(count, "patient count")
+            if not 0.0 <= count < inf:
+                raise InvalidParameterError(f"patient count must be >= 0, got {self.count!r}")
+            object.__setattr__(self, "count", count)
+        if rate is None:
             if count > 0.0:
                 raise InvalidParameterError("populated stratum needs a mortality rate")
-        else:
-            object.__setattr__(self, "rate", _check_rate(self.rate, "mortality rate"))
+        elif type(rate) is not float or not 0.0 <= rate <= 1.0:
+            object.__setattr__(self, "rate", _check_rate(rate, "mortality rate"))
 
 
 CellLike = Union[StratumCell, tuple]
@@ -121,10 +136,9 @@ CellLike = Union[StratumCell, tuple]
 def _as_cell(value: CellLike) -> StratumCell:
     if isinstance(value, StratumCell):
         return value
-    if len(value) == 1:
-        return StratumCell(value[0], None)
-    count, rate = value
-    return StratumCell(count, rate)
+    if isinstance(value, (tuple, list)) and 1 <= len(value) <= 2:
+        return StratumCell(*value)
+    raise InvalidParameterError(f"a cell must be (count,) or (count, rate), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -190,11 +204,11 @@ class ExternalStandard:
     rates: Mapping[StratumId, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "rates",
-            {sid: _check_rate(r, f"standard rate of stratum {sid!r}") for sid, r in self.rates.items()},
-        )
+        rates = dict(self.rates)
+        for sid, r in rates.items():
+            if type(r) is not float or not 0.0 <= r <= 1.0:
+                rates[sid] = _check_rate(r, f"standard rate of stratum {sid!r}")
+        object.__setattr__(self, "rates", rates)
         _reject_string_collisions(self.rates, "stratum")
 
     def rate(self, stratum: StratumId) -> float:
@@ -278,19 +292,24 @@ def actual_rate(table: StratumTable) -> float:
     return fsum(c.count * c.rate for c in table.cells.values() if c.count > 0.0) / total
 
 
-def expected_rate(table: StratumTable, rates: Rates) -> float:
-    """Patient-weighted mean of the benchmark rates under the hospital's case mix."""
-    total = _require_patients(table)
+def _expected_deaths(table: StratumTable, rates: Rates) -> float:
     try:
-        return fsum(c.count * rates[sid] for sid, c in table.cells.items() if c.count > 0.0) / total
+        return fsum(c.count * rates[sid] for sid, c in table.cells.items() if c.count > 0.0)
     except KeyError as missing:
         raise MissingStandardRateError(missing.args[0]) from None
 
 
+def expected_rate(table: StratumTable, rates: Rates) -> float:
+    """Patient-weighted mean of the benchmark rates under the hospital's case mix."""
+    total = _require_patients(table)
+    return _expected_deaths(table, rates) / total
+
+
 def smr(table: StratumTable, rates: Rates, scheme: Scheme) -> SmrResult:
-    """Ratio of actual to expected mortality; ``scheme`` only labels the result."""
-    actual = actual_rate(table)
-    expected = expected_rate(table, rates)
+    """Ratio of actual to expected mortality, over one patient total; ``scheme`` only labels the result."""
+    total = _require_patients(table)
+    actual = fsum(c.count * c.rate for c in table.cells.values() if c.count > 0.0) / total
+    expected = _expected_deaths(table, rates) / total
     if expected <= 0.0:
         benchmark = "the standard" if scheme == EXTERNAL else "the internal benchmark"
         raise ZeroExpectedRateError(f"hospital {table.hospital!r} has zero expected mortality under {benchmark}")

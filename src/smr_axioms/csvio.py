@@ -58,7 +58,7 @@ def load_hospitals(path: str | Path) -> Cohort:
                 continue
             if len(row) != 4:
                 raise ParseError(row_no, "*", f"expected 4 fields, got {len(row)}")
-            hospital, stratum, patients_text, rate_text = (c.strip() for c in row)
+            hospital, stratum, patients_text, rate_text = map(str.strip, row)
             if not hospital or not stratum:
                 raise ValidationError(row_no, "hospital_id and stratum_id must be non-empty")
             patients = _parse_float(patients_text, row_no, "patients")
@@ -72,8 +72,10 @@ def load_hospitals(path: str | Path) -> Cohort:
                 rate = _parse_float(rate_text, row_no, "mortality_rate")
                 if not 0.0 <= rate <= 1.0:
                     raise ValidationError(row_no, f"mortality_rate must be in [0, 1], got {rate}")
-            cells = tables.setdefault(hospital, {})
-            if stratum in cells:
+            cells = tables.get(hospital)
+            if cells is None:
+                cells = tables[hospital] = {}
+            elif stratum in cells:
                 raise ValidationError(row_no, f"duplicate ({hospital!r}, {stratum!r})")
             cells[stratum] = StratumCell(patients, rate)
     if not tables:
@@ -92,7 +94,7 @@ def load_standard(path: str | Path) -> ExternalStandard:
                 continue
             if len(row) != 2:
                 raise ParseError(row_no, "*", f"expected 2 fields, got {len(row)}")
-            stratum, rate_text = (c.strip() for c in row)
+            stratum, rate_text = map(str.strip, row)
             if not stratum:
                 raise ValidationError(row_no, "stratum_id must be non-empty")
             if stratum in rates:

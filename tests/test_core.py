@@ -25,6 +25,7 @@ from smr_axioms.errors import (
     EmptyHospitalError,
     InvalidParameterError,
     MissingStandardRateError,
+    SmrError,
     UnknownHospitalError,
     ZeroExpectedRateError,
 )
@@ -231,6 +232,125 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="collide"):
             ExternalStandard({1: 0.1, "1": 0.2})
 
+    # errors.py promises typed errors: none of these may escape as ValueError/TypeError.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: StratumCell("abc", 0.5), id="count-not-a-number"),
+            pytest.param(lambda: StratumCell(None, 0.5), id="count-none"),
+            pytest.param(lambda: StratumCell(3.0, "abc"), id="rate-not-a-number"),
+            pytest.param(lambda: ExternalStandard({"1": None}), id="standard-rate-none"),
+            pytest.param(lambda: Cohort.build({"H": {"1": (1.0, 0.2, 3)}}), id="cell-of-three"),
+            pytest.param(lambda: Cohort.build({"H": {"1": 5.0}}), id="cell-not-a-tuple"),
+        ],
+    )
+    def test_unconvertible_input_is_a_typed_error(self, build):
+        with pytest.raises(InvalidParameterError):
+            build()
+
+
+# Validation as it stood before exact floats took a short path; the
+# property below holds the current code to it, input for input.
+def _reference_rate(rate, what):
+    rate = float(rate)
+    if not (math.isfinite(rate) and 0.0 <= rate <= 1.0):
+        raise InvalidParameterError(f"{what} must lie in [0, 1], got {rate!r}")
+    return rate
+
+
+def _reference_cell(count, rate):
+    converted = float(count)
+    if not (math.isfinite(converted) and converted >= 0.0):
+        raise InvalidParameterError(f"patient count must be >= 0, got {count!r}")
+    if rate is None:
+        if converted > 0.0:
+            raise InvalidParameterError("populated stratum needs a mortality rate")
+        return converted, None
+    return converted, _reference_rate(rate, "mortality rate")
+
+
+def _reference_standard(rates):
+    return {sid: _reference_rate(r, f"standard rate of stratum {sid!r}") for sid, r in rates.items()}
+
+
+def _new_cell(count, rate):
+    cell = StratumCell(count, rate)
+    return cell.count, cell.rate
+
+
+def _new_standard(rates):
+    return ExternalStandard(rates).rates
+
+
+def _bits(value):
+    return value if value is None else (type(value), value.hex())
+
+
+def _outcome(build, *args):
+    """What a constructor did: its stored floats (type and bits), its SmrError, or an untyped error."""
+    try:
+        values = build(*args)
+    except SmrError as err:
+        return type(err), str(err)
+    except (TypeError, ValueError, OverflowError):
+        return "untyped"
+    if isinstance(values, dict):
+        return tuple((sid, _bits(v)) for sid, v in values.items())
+    return tuple(map(_bits, values))
+
+
+class _Float(float):
+    pass
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+    5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan,
+]
+_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(-5, 2_000),
+    st.sampled_from([10**400, -(10**400)]),
+    st.booleans(),
+    st.floats(allow_nan=True).map(_Float),
+    st.sampled_from(_EDGE_FLOATS).map(_Float),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["abc", "", " 0.25 ", "1e400", "-0", "0x1p-1"]),
+    st.none(),
+)
+
+
+class TestValidationMatchesReference:
+    @staticmethod
+    def _same(new, reference):
+        if reference == "untyped":
+            assert new[0] is InvalidParameterError
+        else:
+            assert new == reference
+
+    @given(_VALUES, _VALUES)
+    @settings(max_examples=600, deadline=None)
+    def test_stratum_cell(self, count, rate):
+        self._same(_outcome(_new_cell, count, rate), _outcome(_reference_cell, count, rate))
+
+    @given(st.dictionaries(st.sampled_from(["1", "2", 3]), _VALUES, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_external_standard(self, rates):
+        self._same(_outcome(_new_standard, rates), _outcome(_reference_standard, rates))
+
+    def test_negative_zero_keeps_its_sign(self):
+        cell = StratumCell(-0.0, -0.0)
+        assert math.copysign(1.0, cell.count) == -1.0
+        assert math.copysign(1.0, cell.rate) == -1.0
+        assert math.copysign(1.0, ExternalStandard({"1": -0.0}).rates["1"]) == -1.0
+
+    def test_subclass_and_int_are_stored_as_exact_floats(self):
+        cell = StratumCell(_Float(2.0), True)
+        assert type(cell.count) is float and type(cell.rate) is float
+        assert type(ExternalStandard({"1": 1}).rates["1"]) is float
+
 
 class TestSmrAll:
     def test_internal_builds_the_benchmark_once(self, monkeypatch):
@@ -258,6 +378,35 @@ class TestSmrAll:
         cohort, _ = random_cohort(Random(1))
         with pytest.raises(InvalidParameterError):
             smr_all(cohort, "external")
+
+
+class TestSmr:
+    """``core.smr`` sums the patient total once; it must agree with the rate functions."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_rates_equal_the_public_functions(self, seed):
+        rng = Random(seed)
+        cohort, strata = random_cohort(rng)
+        standard = random_standard(rng, strata)
+        for rates in (standard.rates, internal_standard(cohort)):
+            for table in cohort.hospitals:
+                result = core.smr(table, rates, "external")
+                assert result.actual_rate == actual_rate(table)
+                assert result.expected_rate == core.expected_rate(table, rates)
+                assert result.smr == result.actual_rate / result.expected_rate
+
+    def test_empty_hospital_is_refused_first(self):
+        table = StratumTable.build("H", {"1": (0.0, None), "2": (0.0, 0.0)})
+        with pytest.raises(EmptyHospitalError):
+            core.smr(table, {}, "external")
+
+    def test_missing_rate_is_refused_before_a_zero_expected_rate(self):
+        table = StratumTable.build("H", {"1": (5.0, 0.1), "2": (5.0, 0.2)})
+        with pytest.raises(MissingStandardRateError):
+            core.smr(table, {"1": 0.0}, "external")
+        with pytest.raises(ZeroExpectedRateError):
+            core.smr(table, {"1": 0.0, "2": 0.0}, "external")
 
 
 class TestInvariants:
