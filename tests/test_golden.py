@@ -1,7 +1,7 @@
 """Byte-for-byte regression against committed CLI outputs.
 
-Each file in ``tests/golden/`` is the JSON stdout of one CLI run on
-seeded inputs. A refactor that claims "same outputs" must leave every
+Each file in ``tests/golden/`` is the JSON or CSV stdout of one CLI run
+on seeded inputs. A refactor that claims "same outputs" must leave every
 file unchanged. To regenerate them after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root
 and review the diff.
@@ -49,6 +49,30 @@ CASES = {
         "scenario", "--name", "actual-int", "--override", "w11=1.0", "--check-claims",
     ],
 }
+
+#: The 13 valid (analysis, scheme) pairs of ``sensitivity`` and their options on the golden cohort.
+SENSITIVITY_RUNS = {
+    ("shift", "external"): ["--from-stratum", "S3", "--to-stratum", "S2", "--eta", "2"],
+    ("shift", "internal"): ["--from-stratum", "S3", "--to-stratum", "S2", "--eta", "2"],
+    ("scale", "external"): ["--lambda", "2"],
+    ("scale", "internal"): ["--lambda", "2"],
+    ("me-actual", "external"): ["--stratum", "S2"],
+    ("me-actual", "internal"): ["--stratum", "S2"],
+    ("me-expected", "external"): ["--stratum", "S2"],
+    ("me-expected", "internal"): ["--stratum", "S2", "--dp", "0.01"],
+    ("uniform-actual", "external"): ["--dp", "0.01"],
+    ("uniform-actual", "internal"): ["--dp", "0.01"],
+    ("uniform-expected", "external"): ["--dp", "0.01"],
+    ("cross", "internal"): ["--other-hospital", "H3", "--stratum", "S2"],
+    ("add-patients", "internal"): ["--stratum", "S2", "--eta", "5"],
+}
+for (analysis, scheme), options in SENSITIVITY_RUNS.items():
+    for fmt in ("json", "csv"):
+        standard = ["--standard", "{standard}"] if scheme == "external" else []
+        CASES[f"sensitivity_{analysis.replace('-', '_')}_{scheme[:3]}.{fmt}"] = [
+            "sensitivity", "--hospitals", "{hospitals}", *standard, "--scheme", scheme,
+            "--analysis", analysis, "--hospital", "H1", *options, "--format", fmt,
+        ]
 
 
 def write_inputs(directory: Path) -> dict[str, str]:
