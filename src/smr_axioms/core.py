@@ -28,8 +28,12 @@ computes every ratio against it. Only its origin differs:
   hospital's data feeds the benchmark it is measured against.
 
 Internal standardization is external standardization against
-``internal_standard(cohort)``, built once per cohort, so
-:func:`smr_all` is O(H*S) for H hospitals and S strata.
+``internal_standard(cohort)``. Its per-stratum patient and death totals
+are summed in one pass over the cells, the first time a ``Cohort``
+object needs them, and kept on that object, so :func:`smr_all`, and
+equally :func:`smr_internal` called once per hospital, is O(H*S) in
+total for H hospitals and S strata. A perturbed copy from
+``Cohort.with_table`` starts without the totals and sums its own cells.
 
 Cells with ``count == 0`` may carry a rate (it is ignored by all rate
 aggregations) or leave it undefined. A zero expected rate is a typed
@@ -41,7 +45,9 @@ chained comparison; any other input is converted with ``float()`` and
 checked in full, and one that cannot be converted is refused as invalid.
 
 All values are immutable after construction and every operation is a
-pure function, so concurrent evaluation needs no coordination. Weighted
+pure function, so concurrent evaluation needs no coordination: keeping
+the totals is an idempotent write of a value derived from immutable
+cells, and two threads that race to it store equal tables. Weighted
 sums use ``math.fsum``, which makes results independent of stratum and
 hospital ordering bit-for-bit.
 """
@@ -224,6 +230,11 @@ class Cohort:
 
     hospitals: tuple[StratumTable, ...] = field(default_factory=tuple)
     _index: dict[HospitalId, StratumTable] = field(init=False, repr=False, compare=False)
+    # stratum -> (patients, deaths) over all hospitals, in first-seen order;
+    # filled by _stratum_sums on first use, so a cohort that never needs it pays nothing
+    _sums: dict[StratumId, tuple[float, float]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hospitals", tuple(self.hospitals))
@@ -247,20 +258,41 @@ class Cohort:
         except KeyError:
             raise UnknownHospitalError(f"hospital {hospital!r} not in cohort") from None
 
+    def _stratum_sums(self) -> dict[StratumId, tuple[float, float]]:
+        """Cohort-wide (patients, deaths) per stratum, summed once per object."""
+        sums = self._sums
+        if sums is None:
+            terms: dict[StratumId, tuple[list[float], list[float]]] = {}
+            for t in self.hospitals:
+                for sid, c in t.cells.items():
+                    entry = terms.get(sid)
+                    if entry is None:
+                        entry = terms[sid] = ([], [])
+                    entry[0].append(c.count)
+                    if c.count > 0.0:
+                        entry[1].append(c.count * c.rate)
+            sums = {}
+            for sid, (counts, deaths) in terms.items():
+                if len(counts) < len(self.hospitals):
+                    counts.append(0.0)  # a hospital without the stratum counts 0.0, as in t.count
+                sums[sid] = (fsum(counts), fsum(deaths))
+            object.__setattr__(self, "_sums", sums)
+        return sums
+
     def strata(self) -> tuple[StratumId, ...]:
         """Union of stratum ids, in first-seen order."""
-        out: dict[StratumId, None] = {}
-        for t in self.hospitals:
-            for sid in t.strata:
-                out.setdefault(sid)
-        return tuple(out)
+        return tuple(self._stratum_sums())
 
     def stratum_count(self, stratum: StratumId) -> float:
         """Cohort-wide patient count of one stratum."""
-        return fsum(t.count(stratum) for t in self.hospitals)
+        entry = self._stratum_sums().get(stratum)
+        return 0.0 if entry is None else entry[0]
 
     def with_table(self, table: StratumTable) -> "Cohort":
-        """Copy with the same-id hospital replaced; the ids stay valid, so nothing is re-checked."""
+        """Copy with the same-id hospital replaced; the ids stay valid, so nothing is re-checked.
+
+        The copy does not inherit the stratum totals: it sums its own cells when first asked.
+        """
         old = self.table(table.hospital)
         copy = object.__new__(Cohort)
         object.__setattr__(copy, "hospitals", tuple(table if t is old else t for t in self.hospitals))
@@ -321,19 +353,14 @@ def internal_standard(cohort: Cohort) -> dict[StratumId, float]:
 
     The rate of stratum s is the patient-weighted mean rate across all
     hospitals; strata with no patients anywhere are omitted rather than
-    given an arbitrary value.
+    given an arbitrary value. The totals behind it are summed once per
+    cohort object; each call returns a fresh dict.
     """
-    out: dict[StratumId, float] = {}
-    for sid in cohort.strata():
-        total = cohort.stratum_count(sid)
-        if total > 0.0:
-            deaths = fsum(
-                t.cells[sid].count * t.cells[sid].rate
-                for t in cohort.hospitals
-                if sid in t.cells and t.cells[sid].count > 0.0
-            )
-            out[sid] = deaths / total
-    return out
+    return {
+        sid: deaths / patients
+        for sid, (patients, deaths) in cohort._stratum_sums().items()
+        if patients > 0.0
+    }
 
 
 def expected_rate_external(table: StratumTable, standard: ExternalStandard) -> float:

@@ -136,8 +136,7 @@ def cohort_from_payload(payload: Sequence[Mapping]) -> Cohort:
     tables = []
     for entry in payload:
         cells = {
-            c["stratum_id"]: StratumCell(float(c["patients"]),
-                                         None if c["mortality_rate"] is None else float(c["mortality_rate"]))
+            c["stratum_id"]: StratumCell(c["patients"], c["mortality_rate"])
             for c in entry["cells"]
         }
         tables.append(StratumTable(entry["hospital_id"], cells))
@@ -153,7 +152,7 @@ def standard_payload(standard: ExternalStandard | None) -> dict | None:
 def standard_from_payload(payload: Mapping | None) -> ExternalStandard | None:
     if payload is None:
         return None
-    return ExternalStandard({sid: float(rate) for sid, rate in payload.items()})
+    return ExternalStandard(payload)
 
 
 def world_payload(world: World) -> dict:

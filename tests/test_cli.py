@@ -459,3 +459,120 @@ class TestOptionScope:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+THREE_STRATA_CSV = """hospital_id,stratum_id,patients,mortality_rate
+H1,1,40,0.1
+H1,2,10,0.3
+H1,3,15,0.2
+H2,1,25,0.1
+H2,2,10,0.1
+H2,3,30,0.25
+H3,1,5,0.2
+H3,2,20,0.15
+H3,3,10,0.3
+"""
+THREE_STANDARD_CSV = "stratum_id,expected_rate\n1,0.1\n2,0.2\n3,0.25\n"
+
+
+def _sensitivity(*options, scheme="internal"):
+    return ["sensitivity", "--hospitals", "{hospitals}", "--standard", "{standard}", "--scheme", scheme,
+            "--hospital", "H1", *options]
+
+
+_SHIFT = ("--analysis", "shift", "--from-stratum", "1", "--to-stratum", "2", "--eta", "1")
+
+#: One base run per command; the digest must not move with the input paths or ``--out``.
+_DIGEST_BASES = {
+    "compute": ["compute", "--hospitals", "{hospitals}", "--standard", "{standard}", "--scheme", "external"],
+    "sensitivity": _sensitivity("--analysis", "me-actual", "--stratum", "1", scheme="external"),
+    "audit": ["audit", "--seed", "0", "--trials", "3"],
+    "scenario": ["scenario", "--name", "actual-int"],
+}
+
+#: One (base, changed) pair per result-affecting option of each command.
+_DIGEST_CHANGES = {
+    "compute-hospitals": (_DIGEST_BASES["compute"], ["compute", "--hospitals", "{other_hospitals}",
+                                                     "--standard", "{standard}", "--scheme", "external"]),
+    "compute-standard": (_DIGEST_BASES["compute"], ["compute", "--hospitals", "{hospitals}",
+                                                    "--standard", "{other_standard}", "--scheme", "external"]),
+    "compute-scheme": (_DIGEST_BASES["compute"], ["compute", "--hospitals", "{hospitals}",
+                                                  "--standard", "{standard}", "--scheme", "internal"]),
+    "sensitivity-hospitals": (_sensitivity("--analysis", "me-actual", "--stratum", "1"),
+                              [arg.replace("{hospitals}", "{other_hospitals}")
+                               for arg in _sensitivity("--analysis", "me-actual", "--stratum", "1")]),
+    "sensitivity-standard": (_DIGEST_BASES["sensitivity"],
+                             [arg.replace("{standard}", "{other_standard}") for arg in _DIGEST_BASES["sensitivity"]]),
+    "sensitivity-scheme": (_sensitivity("--analysis", "me-actual", "--stratum", "1"), _DIGEST_BASES["sensitivity"]),
+    "sensitivity-analysis": (_DIGEST_BASES["sensitivity"],
+                             _sensitivity("--analysis", "me-expected", "--stratum", "1", scheme="external")),
+    "sensitivity-hospital": (_sensitivity(*_SHIFT),
+                             [("H2" if arg == "H1" else arg) for arg in _sensitivity(*_SHIFT)]),
+    "sensitivity-stratum": (_sensitivity("--analysis", "me-actual", "--stratum", "1"),
+                            _sensitivity("--analysis", "me-actual", "--stratum", "2")),
+    "sensitivity-from-stratum": (_sensitivity(*_SHIFT),
+                                 _sensitivity("--analysis", "shift", "--from-stratum", "3",
+                                              "--to-stratum", "2", "--eta", "1")),
+    "sensitivity-to-stratum": (_sensitivity(*_SHIFT),
+                               _sensitivity("--analysis", "shift", "--from-stratum", "1",
+                                            "--to-stratum", "3", "--eta", "1")),
+    "sensitivity-eta": (_sensitivity(*_SHIFT), _sensitivity(*_SHIFT[:-1], "2")),
+    "sensitivity-other-hospital": (
+        _sensitivity("--analysis", "cross", "--stratum", "1", "--other-hospital", "H2"),
+        _sensitivity("--analysis", "cross", "--stratum", "1", "--other-hospital", "H3"),
+    ),
+    "sensitivity-lambda": (_sensitivity("--analysis", "scale", "--lambda", "2"),
+                           _sensitivity("--analysis", "scale", "--lambda", "3")),
+    "sensitivity-dp": (_sensitivity("--analysis", "uniform-actual", "--dp", "0.01"),
+                       _sensitivity("--analysis", "uniform-actual", "--dp", "0.02")),
+    "sensitivity-tolerance": (_DIGEST_BASES["sensitivity"], [*_DIGEST_BASES["sensitivity"], "--tolerance", "0.5"]),
+    "audit-seed": (_DIGEST_BASES["audit"], ["audit", "--seed", "1", "--trials", "3"]),
+    "audit-trials": (_DIGEST_BASES["audit"], ["audit", "--seed", "0", "--trials", "4"]),
+    "audit-measure": (_DIGEST_BASES["audit"], [*_DIGEST_BASES["audit"], "--measure", "constant"]),
+    "audit-expect-paper": (_DIGEST_BASES["audit"], [*_DIGEST_BASES["audit"], "--expect-paper"]),
+    "scenario-name": (_DIGEST_BASES["scenario"], ["scenario", "--name", "actual-ext"]),
+    "scenario-override": (_DIGEST_BASES["scenario"], [*_DIGEST_BASES["scenario"], "--override", "w11=0.6"]),
+    "scenario-min": (_DIGEST_BASES["scenario"], [*_DIGEST_BASES["scenario"], "--min", "0.5"]),
+    "scenario-max": (_DIGEST_BASES["scenario"], [*_DIGEST_BASES["scenario"], "--max", "0.5"]),
+    "scenario-step": (_DIGEST_BASES["scenario"], [*_DIGEST_BASES["scenario"], "--step", "0.25"]),
+    "scenario-check-claims": (_DIGEST_BASES["scenario"], [*_DIGEST_BASES["scenario"], "--check-claims"]),
+}
+
+
+class TestInputsDigest:
+    """``inputs_digest`` moves with every option that can change a result, and with nothing else."""
+
+    @staticmethod
+    def _write_inputs(directory):
+        directory.mkdir(parents=True)
+        files = {
+            "hospitals": THREE_STRATA_CSV,
+            "standard": THREE_STANDARD_CSV,
+            "other_hospitals": THREE_STRATA_CSV.replace("H3,3,10,0.3", "H3,3,11,0.3"),
+            "other_standard": THREE_STANDARD_CSV.replace("3,0.25", "3,0.26"),
+        }
+        for name, text in files.items():
+            (directory / f"{name}.csv").write_text(text, encoding="utf-8")
+        return {name: str(directory / f"{name}.csv") for name in files}
+
+    @staticmethod
+    def _digest(argv, paths, capsys, out=None):
+        argv = [arg.format(**paths) for arg in argv] + ([] if out is None else ["--out", str(out)])
+        assert main(argv) in (0, 1)
+        text = capsys.readouterr().out if out is None else out.read_text(encoding="utf-8")
+        return json.loads(text)["inputs_digest"]
+
+    @pytest.mark.parametrize("command", sorted(_DIGEST_BASES))
+    def test_paths_and_out_leave_the_digest(self, command, tmp_path, capsys):
+        argv = _DIGEST_BASES[command]
+        here = self._write_inputs(tmp_path / "here")
+        there = self._write_inputs(tmp_path / "elsewhere" / "copy")
+        digest = self._digest(argv, here, capsys)
+        assert self._digest(argv, there, capsys) == digest
+        assert self._digest(argv, here, capsys, out=tmp_path / "report.json") == digest
+
+    @pytest.mark.parametrize("case", sorted(_DIGEST_CHANGES))
+    def test_each_result_option_moves_the_digest(self, case, tmp_path, capsys):
+        base, changed = _DIGEST_CHANGES[case]
+        paths = self._write_inputs(tmp_path / "inputs")
+        assert self._digest(base, paths, capsys) != self._digest(changed, paths, capsys)

@@ -158,6 +158,130 @@ class TestInternalStandard:
         assert "void" not in internal_standard(cohort)
 
 
+def _reference_strata(cohort):
+    out = {}
+    for t in cohort.hospitals:
+        for sid in t.strata:
+            out.setdefault(sid)
+    return tuple(out)
+
+
+def _reference_stratum_count(cohort, stratum):
+    """The two-pass ``Cohort.stratum_count`` that walked every hospital per call."""
+    return math.fsum(t.count(stratum) for t in cohort.hospitals)
+
+
+def _reference_internal_standard(cohort):
+    """The two-pass ``internal_standard``: per stratum, one walk for patients and one for deaths."""
+    out = {}
+    for sid in _reference_strata(cohort):
+        total = _reference_stratum_count(cohort, sid)
+        if total > 0.0:
+            deaths = math.fsum(
+                t.cells[sid].count * t.cells[sid].rate
+                for t in cohort.hospitals
+                if sid in t.cells and t.cells[sid].count > 0.0
+            )
+            out[sid] = deaths / total
+    return out
+
+
+def _ragged_cohort(rng):
+    """A ``worlds`` cohort whose hospitals drop, reorder and zero (as -0.0) some of their strata."""
+    cohort, strata = random_cohort(rng)
+    tables = []
+    for t in cohort.hospitals:
+        cells = {}
+        for sid in rng.sample(list(t.cells), rng.randint(0, len(t.cells))):
+            cell = t.cells[sid]
+            cells[sid] = StratumCell(-0.0, cell.rate) if rng.random() < 0.1 else cell
+        tables.append(StratumTable(t.hospital, cells))
+    return Cohort(tuple(tables)), strata
+
+
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+class TestStratumSums:
+    """Cohort-wide stratum totals are summed once per cohort object, with the two-pass values."""
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_two_pass_reference(self, seed, ragged):
+        rng = Random(seed)
+        cohort, strata = _ragged_cohort(rng) if ragged else random_cohort(rng)
+        expected = _reference_internal_standard(cohort)
+        got = internal_standard(cohort)
+        assert list(got.items()) == list(expected.items())
+        assert _hexes(got.values()) == _hexes(expected.values())
+        assert cohort.strata() == _reference_strata(cohort)
+        for sid in [*strata, "unknown", 7]:
+            assert cohort.stratum_count(sid).hex() == _reference_stratum_count(cohort, sid).hex()
+
+    def test_stratum_empty_cohort_wide(self):
+        cohort = Cohort.build({"H1": {"1": (5.0, 0.2), "void": (0.0, None)}, "H2": {"void": (0.0, 0.4)}})
+        assert list(internal_standard(cohort)) == ["1"]
+        assert cohort.stratum_count("void") == 0.0
+        assert cohort.strata() == ("1", "void")
+
+    def test_negative_zero_counts(self):
+        everywhere = Cohort.build({"H1": {"1": (2.0, 0.5), "z": (-0.0, None)}, "H2": {"z": (-0.0, 0.3)}})
+        in_one = Cohort.build({"H1": {"1": (2.0, 0.5), "z": (-0.0, None)}, "H2": {"1": (1.0, 0.2)}})
+        for cohort in (everywhere, in_one):
+            assert cohort.stratum_count("z").hex() == _reference_stratum_count(cohort, "z").hex()
+            assert "z" not in internal_standard(cohort)
+
+    def test_stratum_in_some_hospitals_only(self):
+        cohort = Cohort.build(
+            {"H1": {"a": (10.0, 0.1)}, "H2": {"b": (30.0, 0.2), "a": (30.0, 0.3)}, "H3": {"c": (5.0, 0.4)}}
+        )
+        assert cohort.strata() == ("a", "b", "c")
+        assert cohort.stratum_count("a") == 40.0
+        assert internal_standard(cohort) == {"a": 10.0 / 40.0, "b": 0.2, "c": 0.4}
+
+    def test_with_table_copy_sums_its_own_cells(self):
+        cohort = Cohort.build({"H1": {"1": (10.0, 0.1)}, "H2": {"1": (10.0, 0.3)}})
+        assert internal_standard(cohort) == {"1": 0.2}
+        copy = cohort.with_table(StratumTable.build("H2", {"1": (30.0, 0.3), "2": (4.0, 0.5)}))
+        assert internal_standard(copy) == _reference_internal_standard(copy) == {"1": 0.25, "2": 0.5}
+        assert copy.stratum_count("1") == 40.0
+        assert internal_standard(cohort) == {"1": 0.2}
+
+    def test_returned_dict_is_fresh(self):
+        cohort = Cohort.build({"H1": {"1": (10.0, 0.1)}, "H2": {"1": (10.0, 0.3)}})
+        first = internal_standard(cohort)
+        first["1"] = 0.9
+        first["extra"] = 0.5
+        assert internal_standard(cohort) == {"1": 0.2}
+        assert internal_standard(cohort) is not internal_standard(cohort)
+
+    def test_summed_on_first_use_only(self, monkeypatch):
+        calls = []
+
+        def counted(terms):
+            calls.append(None)
+            return math.fsum(terms)
+
+        monkeypatch.setattr(core, "fsum", counted)
+        cohort, strata = random_cohort(Random(3), hospitals=6, strata_count=4)
+        assert calls == []  # building the cohort sums nothing
+        first = internal_standard(cohort)
+        assert calls
+        calls.clear()
+        assert internal_standard(cohort) == first
+        assert [cohort.stratum_count(sid) for sid in strata] == [
+            _reference_stratum_count(cohort, sid) for sid in strata
+        ]
+        assert calls == []
+        table = cohort.table("H1")
+        ratio = core.smr(table, first, "internal")
+        ratio_calls = len(calls)
+        calls.clear()
+        assert smr_internal(cohort, "H1") == ratio
+        assert len(calls) == ratio_calls  # only the hospital's own sums, none over the cohort
+
+
 class TestSmrInternal:
     def test_two_hospital_values(self):
         cohort = Cohort.build(

@@ -3,7 +3,8 @@
 ``reference_render`` is the writer as it was before it became a single
 walk over a chunk list: it builds a string per nesting level and runs the
 ``isinstance`` chain on every value. ``report.dumps`` and
-``report.inputs_digest`` must reproduce its bytes exactly.
+``report.inputs_digest`` must reproduce its bytes exactly. The payload
+readers at the end must refuse malformed numbers with a typed error.
 """
 
 from __future__ import annotations
@@ -162,3 +163,34 @@ def test_unserializable_payloads_raise(payload):
         with pytest.raises(InvalidParameterError) as got:
             write(payload)
         assert str(got.value) == str(expected.value)
+
+
+def _one_cell_cohort(patients, rate):
+    return [{"hospital_id": "H1", "cells": [{"stratum_id": "1", "patients": patients, "mortality_rate": rate}]}]
+
+
+@pytest.mark.parametrize("patients", ["abc", None], ids=["string", "null"])
+def test_cohort_reader_refuses_unconvertible_counts_as_typed_errors(patients):
+    with pytest.raises(InvalidParameterError, match="patient count must be a number"):
+        report.cohort_from_payload(_one_cell_cohort(patients, 0.2))
+
+
+def test_standard_reader_refuses_unconvertible_rates_as_typed_errors():
+    with pytest.raises(InvalidParameterError, match="standard rate of stratum '1' must be a number"):
+        report.standard_from_payload({"1": "x"})
+
+
+@pytest.mark.parametrize(
+    "patients, rate, cell",
+    [(0, None, (0.0, None)), (4, 1, (4.0, 1.0)), ("4", "0.25", (4.0, 0.25))],
+    ids=["int-count-no-rate", "ints", "numeric-strings"],
+)
+def test_cohort_reader_converts_numbers(patients, rate, cell):
+    stored = report.cohort_from_payload(_one_cell_cohort(patients, rate)).table("H1").cells["1"]
+    assert (stored.count, stored.rate) == cell
+    assert type(stored.count) is float and (stored.rate is None or type(stored.rate) is float)
+
+
+def test_standard_reader_converts_numbers():
+    rates = report.standard_from_payload({"1": 1, "2": "0.5"}).rates
+    assert rates == {"1": 1.0, "2": 0.5} and all(type(r) is float for r in rates.values())
