@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Commands: ``compute``, ``sensitivity``, ``audit``, ``scenario``. Machine
+Commands: ``compute``, ``sensitivity``, ``audit``, ``scenario``. Each
+command builds only its own options and imports only the layers it runs
+(``compute`` none beyond ``core``, ``csvio`` and ``report``). Machine
 formats (``json``, ``csv``) are byte-deterministic for fixed inputs and
 seed; display rounding happens only in ``pretty`` mode. Exit codes:
 0 success, 1 data or claim failure, 2 usage error. Set
@@ -12,13 +14,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import isfinite
 from typing import Sequence
 
-from . import audit as audit_mod
-from . import core, report, scenarios, sensitivity
+from . import core, report
 from .csvio import format_number, ingest
 from .errors import SmrError
-from .sensitivity import CaseMixShift, ScaleChange
 
 ANALYSES = (
     "shift",
@@ -64,7 +65,28 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _finite(text: str) -> float:
+    """argparse type of a float option: ``nan`` and ``inf`` are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+#: command -> help. A command's options, and the layer they name, are built only when
+#: argv starts with that command, or for every command when it names none (help, typos).
+COMMANDS = {
+    "compute": "per-hospital SMR table",
+    "sensitivity": "closed-form sensitivity analyses",
+    "audit": "five-requirement compliance matrix",
+    "scenario": "built-in example sweeps",
+}
+
+
+def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smr-axioms",
         description="Standardized mortality ratios, their sensitivities, and an axiomatic audit.",
@@ -74,44 +96,49 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {name: sub.add_parser(name, parents=[common], help=text) for name, text in COMMANDS.items()}
+    wanted = {argv[0]} if argv and argv[0] in COMMANDS else set(COMMANDS)
 
-    p_compute = sub.add_parser("compute", parents=[common], help="per-hospital SMR table")
-    p_compute.add_argument("--hospitals", required=True, metavar="CSV")
-    p_compute.add_argument("--standard", metavar="CSV")
-    p_compute.add_argument("--scheme", choices=("external", "internal"), required=True)
+    for name in wanted & {"compute", "sensitivity"}:
+        parsers[name].add_argument("--hospitals", required=True, metavar="CSV")
+        parsers[name].add_argument("--standard", metavar="CSV")
+        parsers[name].add_argument("--scheme", choices=("external", "internal"), required=True)
 
-    p_sens = sub.add_parser("sensitivity", parents=[common], help="closed-form sensitivity analyses")
-    p_sens.add_argument("--hospitals", required=True, metavar="CSV")
-    p_sens.add_argument("--standard", metavar="CSV")
-    p_sens.add_argument("--scheme", choices=("external", "internal"), required=True)
-    p_sens.add_argument("--analysis", choices=ANALYSES, required=True)
-    p_sens.add_argument("--hospital", metavar="ID")
-    p_sens.add_argument("--stratum", metavar="ID")
-    p_sens.add_argument("--from-stratum", dest="from_stratum", metavar="ID")
-    p_sens.add_argument("--to-stratum", dest="to_stratum", metavar="ID")
-    p_sens.add_argument("--other-hospital", dest="other_hospital", metavar="ID")
-    p_sens.add_argument("--eta", type=float)
-    p_sens.add_argument("--lambda", dest="scale_factor", type=float)
-    p_sens.add_argument("--dp", type=float)
-    p_sens.add_argument("--tolerance", type=float, default=sensitivity.SIGN_ZERO_TOL,
-                        help="zero-classification tolerance (default %(default)s)")
+    if "sensitivity" in wanted:
+        from . import sensitivity
+        p_sens = parsers["sensitivity"]
+        p_sens.add_argument("--analysis", choices=ANALYSES, required=True)
+        p_sens.add_argument("--hospital", metavar="ID")
+        p_sens.add_argument("--stratum", metavar="ID")
+        p_sens.add_argument("--from-stratum", dest="from_stratum", metavar="ID")
+        p_sens.add_argument("--to-stratum", dest="to_stratum", metavar="ID")
+        p_sens.add_argument("--other-hospital", dest="other_hospital", metavar="ID")
+        p_sens.add_argument("--eta", type=_finite)
+        p_sens.add_argument("--lambda", dest="scale_factor", type=_finite)
+        p_sens.add_argument("--dp", type=_finite)
+        p_sens.add_argument("--tolerance", type=_finite, default=sensitivity.SIGN_ZERO_TOL,
+                            help="zero-classification tolerance (default %(default)s)")
 
-    p_audit = sub.add_parser("audit", parents=[common], help="five-requirement compliance matrix")
-    p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--trials", type=int, default=10_000)
-    p_audit.add_argument("--expect-paper", dest="expect_paper", action="store_true",
-                         help="fail unless the built-in matrix matches its known pattern")
-    p_audit.add_argument("--measure", action="append", default=[],
-                         choices=sorted(audit_mod.built_in_measures()),
-                         help="additional measure to audit (repeatable)")
+    if "audit" in wanted:
+        from . import audit
+        p_audit = parsers["audit"]
+        p_audit.add_argument("--seed", type=int, default=0)
+        p_audit.add_argument("--trials", type=int, default=10_000)
+        p_audit.add_argument("--expect-paper", dest="expect_paper", action="store_true",
+                             help="fail unless the built-in matrix matches its known pattern")
+        p_audit.add_argument("--measure", action="append", default=[],
+                             choices=sorted(audit.built_in_measures()),
+                             help="additional measure to audit (repeatable)")
 
-    p_scen = sub.add_parser("scenario", parents=[common], help="built-in example sweeps")
-    p_scen.add_argument("--name", required=True, choices=scenarios.SCENARIO_NAMES)
-    p_scen.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
-    p_scen.add_argument("--min", dest="grid_min", type=float)
-    p_scen.add_argument("--max", dest="grid_max", type=float)
-    p_scen.add_argument("--step", dest="grid_step", type=float)
-    p_scen.add_argument("--check-claims", dest="check_claims", action="store_true")
+    if "scenario" in wanted:
+        from . import scenarios
+        p_scen = parsers["scenario"]
+        p_scen.add_argument("--name", required=True, choices=scenarios.SCENARIO_NAMES)
+        p_scen.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
+        p_scen.add_argument("--min", dest="grid_min", type=_finite)
+        p_scen.add_argument("--max", dest="grid_max", type=_finite)
+        p_scen.add_argument("--step", dest="grid_step", type=_finite)
+        p_scen.add_argument("--check-claims", dest="check_claims", action="store_true")
     return parser
 
 
@@ -163,6 +190,7 @@ def _require(parser: argparse.ArgumentParser, args: argparse.Namespace, names: S
 
 
 def _run_analysis(args, parser, cohort, standard):
+    from . import sensitivity
     scheme, analysis = args.scheme, args.analysis
     tol = args.tolerance
     external = scheme == "external"
@@ -174,14 +202,14 @@ def _run_analysis(args, parser, cohort, standard):
 
     if analysis == "shift":
         _require(parser, args, ["from-stratum", "to-stratum", "eta"])
-        shift = CaseMixShift(args.from_stratum, args.to_stratum, args.eta)
+        shift = sensitivity.CaseMixShift(args.from_stratum, args.to_stratum, args.eta)
         if external:
             return sensitivity.omega_external(table, standard, shift, tol)
         return sensitivity.omega_internal(cohort, args.hospital, shift, tol)
     if analysis == "scale":
         if args.scale_factor is None:
             parser.error("--analysis scale requires --lambda")
-        change = ScaleChange(args.scale_factor)
+        change = sensitivity.ScaleChange(args.scale_factor)
         if external:
             return sensitivity.scale_invariance_external(table, standard, change, tol)
         return sensitivity.delta_smr_scale_internal(cohort, args.hospital, change, tol)
@@ -295,11 +323,12 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 
 def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import audit
     if args.trials < 0:
         parser.error("--trials must be >= 0")
-    registry = audit_mod.built_in_measures()
+    registry = audit.built_in_measures()
     extras = [registry[name] for name in args.measure]
-    matrix = audit_mod.run_audit(extras, seed=args.seed, trials=args.trials)
+    matrix = audit.run_audit(extras, seed=args.seed, trials=args.trials)
     inputs = {"seed": args.seed, "trials": args.trials, "measures": sorted({m.name for m in extras})}
     results: dict = {
         "seed": args.seed,
@@ -308,7 +337,7 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     }
     failed = False
     if args.expect_paper:
-        ok = audit_mod.matches_expected_matrix(matrix)
+        ok = audit.matches_expected_matrix(matrix)
         inputs["expect_paper"] = True
         results["expected_matrix_ok"] = ok
         failed = not ok
@@ -337,6 +366,7 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_scenario(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import scenarios
     overrides = {}
     for item in args.override:
         key, sep, value = item.partition("=")
@@ -394,7 +424,8 @@ def _cmd_scenario(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     handlers = {
         "compute": _cmd_compute,

@@ -21,13 +21,15 @@ import hashlib
 import json
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from . import audit, scenarios
-from .core import Cohort, ExternalStandard, StratumCell, StratumTable, World
+from .core import Cohort, ExternalStandard, StratumCell, StratumTable, World, _as_float
 from .csvio import format_number
 from .errors import InvalidParameterError
-from .sensitivity import SensitivityReport
+
+if TYPE_CHECKING:
+    from . import audit, scenarios
+    from .sensitivity import SensitivityReport
 
 SCHEMA_VERSION = "1"
 
@@ -195,13 +197,15 @@ def witness_payload(witness: audit.Witness) -> dict:
 
 
 def witness_from_payload(payload: Mapping) -> audit.Witness:
+    from . import audit
+
     return audit.Witness(
         axiom=payload["axiom"],
         measure=payload["measure"],
         world=world_from_payload(payload["world"]),
         hospital=payload["hospital_id"],
-        value_before=float(payload["value_before"]),
-        value_after=float(payload["value_after"]),
+        value_before=_as_float(payload["value_before"], "value_before"),
+        value_after=_as_float(payload["value_after"], "value_after"),
         perturbed_world=None
         if payload.get("perturbed_world") is None
         else world_from_payload(payload["perturbed_world"]),

@@ -125,6 +125,8 @@ class ScenarioSpec:
         lo = d_lo if lo is None else lo
         hi = d_hi if hi is None else hi
         step = d_step if step is None else step
+        if not all(map(isfinite, (lo, hi, step))):
+            raise InvalidParameterError(f"grid min, max and step must be finite, got {lo!r}, {hi!r}, {step!r}")
         if step <= 0.0 or hi < lo:
             raise InvalidParameterError("grid needs step > 0 and max >= min")
         n = int(round((hi - lo) / step))

@@ -394,6 +394,42 @@ class TestScenarioCommand:
         assert target.read_text() == stdout
 
 
+class TestNonFiniteOptions:
+    """``nan`` and ``inf`` in a float option are usage errors naming the option."""
+
+    @pytest.mark.parametrize(
+        "option, value, argv",
+        [
+            ("--min", "nan", ["scenario", "--name", "scale-ext"]),
+            ("--max", "inf", ["scenario", "--name", "scale-ext"]),
+            ("--step", "inf", ["scenario", "--name", "scale-ext"]),
+            ("--eta", "inf", ["sensitivity", "--scheme", "internal", "--analysis", "shift",
+                              "--from-stratum", "1", "--to-stratum", "2"]),
+            ("--lambda", "inf", ["sensitivity", "--scheme", "internal", "--analysis", "scale"]),
+            ("--dp", "nan", ["sensitivity", "--scheme", "external", "--analysis", "uniform-actual"]),
+            ("--dp", "inf", ["sensitivity", "--scheme", "external", "--analysis", "uniform-actual"]),
+            ("--tolerance", "nan", ["sensitivity", "--scheme", "internal", "--analysis", "me-actual",
+                                    "--stratum", "1"]),
+        ],
+        ids=["min-nan", "max-inf", "step-inf", "eta-inf", "lambda-inf", "dp-nan", "dp-inf",
+             "tolerance-nan"],
+    )
+    def test_non_finite_value_is_usage_error(self, option, value, argv, table2, capsys):
+        hospitals, standard = table2
+        if argv[0] == "sensitivity":
+            argv = argv + ["--hospitals", str(hospitals), "--standard", str(standard), "--hospital", "H1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: must be a finite number, got {value!r}" in capsys.readouterr().err
+
+    def test_unparsable_value_keeps_its_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "--name", "scale-ext", "--min", "abc"])
+        assert exc.value.code == 2
+        assert "argument --min: invalid float value: 'abc'" in capsys.readouterr().err
+
+
 class TestPrettyMode:
     def test_color_by_default(self, table2, capsys, monkeypatch):
         monkeypatch.delenv("SMR_AXIOMS_NO_COLOR", raising=False)

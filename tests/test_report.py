@@ -194,3 +194,22 @@ def test_cohort_reader_converts_numbers(patients, rate, cell):
 def test_standard_reader_converts_numbers():
     rates = report.standard_from_payload({"1": 1, "2": "0.5"}).rates
     assert rates == {"1": 1.0, "2": 0.5} and all(type(r) is float for r in rates.values())
+
+
+def _witness(**values):
+    world = {"hospitals": _one_cell_cohort(10, 0.2), "standard": None}
+    return {"axiom": "scale_insensitivity", "measure": "smr-internal", "world": world,
+            "hospital_id": "H1", "value_before": 1.0, "value_after": 1.0, **values}
+
+
+@pytest.mark.parametrize("field", ["value_before", "value_after"])
+@pytest.mark.parametrize("value", ["abc", None], ids=["string", "null"])
+def test_witness_reader_refuses_unconvertible_values_as_typed_errors(field, value):
+    with pytest.raises(InvalidParameterError, match=f"{field} must be a number"):
+        report.witness_from_payload(_witness(**{field: value}))
+
+
+def test_witness_reader_converts_numbers():
+    witness = report.witness_from_payload(_witness(value_before=2, value_after="0.5"))
+    assert (witness.value_before, witness.value_after) == (2.0, 0.5)
+    assert type(witness.value_before) is float and type(witness.value_after) is float

@@ -118,6 +118,16 @@ class TestSpecValidation:
         spec = ScenarioSpec.default("scale-ext", lo=1.0, hi=3.0, step=0.5)
         assert spec.grid == (1.0, 1.5, 2.0, 2.5, 3.0)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"lo": float("nan")}, {"hi": float("inf")}, {"step": float("inf")},
+         {"lo": -float("inf")}, {"step": float("nan")}],
+        ids=["lo-nan", "hi-inf", "step-inf", "lo-minus-inf", "step-nan"],
+    )
+    def test_non_finite_grid_bounds_rejected(self, bounds):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            ScenarioSpec.default("scale-ext", **bounds)
+
 
 class TestSweeps:
     def test_deterministic(self):
