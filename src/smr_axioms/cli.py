@@ -21,18 +21,6 @@ from . import core, report
 from .csvio import format_number, ingest
 from .errors import SmrError
 
-ANALYSES = (
-    "shift",
-    "scale",
-    "me-actual",
-    "me-expected",
-    "uniform-actual",
-    "uniform-expected",
-    "cross",
-    "add-patients",
-)
-
-
 def _styled(text: str, code: str) -> str:
     if "SMR_AXIOMS_NO_COLOR" in os.environ:
         return text
@@ -76,6 +64,18 @@ def _finite(text: str) -> float:
     return value
 
 
+#: sensitivity option -> its key in the ``parameters`` payload, metavar and argparse type.
+SENSITIVITY_OPTIONS = {
+    "--hospital": ("hospital_id", "ID", None),
+    "--stratum": ("stratum_id", "ID", None),
+    "--from-stratum": ("from_stratum", "ID", None),
+    "--to-stratum": ("to_stratum", "ID", None),
+    "--other-hospital": ("other_hospital", "ID", None),
+    "--eta": ("eta", "ETA", _finite),
+    "--lambda": ("lambda", "SCALE_FACTOR", _finite),
+    "--dp": ("dp", "DP", _finite),
+}
+
 #: command -> help. A command's options, and the layer they name, are built only when
 #: argv starts with that command, or for every command when it names none (help, typos).
 COMMANDS = {
@@ -107,15 +107,10 @@ def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     if "sensitivity" in wanted:
         from . import sensitivity
         p_sens = parsers["sensitivity"]
-        p_sens.add_argument("--analysis", choices=ANALYSES, required=True)
-        p_sens.add_argument("--hospital", metavar="ID")
-        p_sens.add_argument("--stratum", metavar="ID")
-        p_sens.add_argument("--from-stratum", dest="from_stratum", metavar="ID")
-        p_sens.add_argument("--to-stratum", dest="to_stratum", metavar="ID")
-        p_sens.add_argument("--other-hospital", dest="other_hospital", metavar="ID")
-        p_sens.add_argument("--eta", type=_finite)
-        p_sens.add_argument("--lambda", dest="scale_factor", type=_finite)
-        p_sens.add_argument("--dp", type=_finite)
+        p_sens.add_argument("--analysis", choices=list(dict.fromkeys(a for a, _ in sensitivity.ANALYSES)),
+                            required=True)
+        for option, (key, metavar, kind) in SENSITIVITY_OPTIONS.items():
+            p_sens.add_argument(option, dest=key, metavar=metavar, type=kind)
         p_sens.add_argument("--tolerance", type=_finite, default=sensitivity.SIGN_ZERO_TOL,
                             help="zero-classification tolerance (default %(default)s)")
 
@@ -183,95 +178,25 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _require(parser: argparse.ArgumentParser, args: argparse.Namespace, names: Sequence[str]) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            parser.error(f"--analysis {args.analysis} requires --{name}")
-
-
-def _run_analysis(args, parser, cohort, standard):
-    from . import sensitivity
-    scheme, analysis = args.scheme, args.analysis
-    tol = args.tolerance
-    external = scheme == "external"
-    if external and standard is None:
-        parser.error("external analyses require --standard")
-    if args.hospital is None:
-        parser.error("sensitivity requires --hospital")
-    table = cohort.table(args.hospital)
-
-    if analysis == "shift":
-        _require(parser, args, ["from-stratum", "to-stratum", "eta"])
-        shift = sensitivity.CaseMixShift(args.from_stratum, args.to_stratum, args.eta)
-        if external:
-            return sensitivity.omega_external(table, standard, shift, tol)
-        return sensitivity.omega_internal(cohort, args.hospital, shift, tol)
-    if analysis == "scale":
-        if args.scale_factor is None:
-            parser.error("--analysis scale requires --lambda")
-        change = sensitivity.ScaleChange(args.scale_factor)
-        if external:
-            return sensitivity.scale_invariance_external(table, standard, change, tol)
-        return sensitivity.delta_smr_scale_internal(cohort, args.hospital, change, tol)
-    if analysis == "me-actual":
-        _require(parser, args, ["stratum"])
-        if external:
-            return sensitivity.me_actual_external(table, standard, args.stratum, tol)
-        return sensitivity.me_actual_internal(cohort, args.hospital, args.stratum, tol)
-    if analysis == "me-expected":
-        _require(parser, args, ["stratum"])
-        if external:
-            return sensitivity.me_expected_external(table, standard, args.stratum, tol)
-        _require(parser, args, ["dp"])
-        return sensitivity.dsmr_expected_internal(cohort, args.hospital, args.stratum, args.dp, tol)
-    if analysis == "uniform-actual":
-        _require(parser, args, ["dp"])
-        if external:
-            return sensitivity.dsmr_uniform_actual_external(table, standard, args.dp, tol)
-        return sensitivity.dsmr_uniform_actual_internal(cohort, args.hospital, args.dp, tol)
-    if analysis == "uniform-expected":
-        if not external:
-            parser.error("uniform-expected is defined for --scheme external only")
-        _require(parser, args, ["dp"])
-        return sensitivity.dsmr_uniform_expected_external(table, standard, args.dp, tol)
-    if analysis == "cross":
-        if external:
-            parser.error("cross is defined for --scheme internal only")
-        _require(parser, args, ["other-hospital", "stratum"])
-        return sensitivity.me_cross_hospital_internal(
-            cohort, args.hospital, args.other_hospital, args.stratum, tol
-        )
-    if analysis == "add-patients":
-        if external:
-            parser.error("add-patients is defined for --scheme internal only")
-        _require(parser, args, ["stratum", "eta"])
-        value = sensitivity.standard_shift_add_patients(cohort, args.hospital, args.stratum, args.eta)
-        return sensitivity.SensitivityReport(
-            value,
-            sensitivity.classify_sign(value, tol),
-            "p_ik vs stratum mean",
-            details={"eta": args.eta},
-        )
-    raise AssertionError(analysis)
-
-
 def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import sensitivity
     cohort, standard = ingest(args.hospitals, args.standard)
-    result = _run_analysis(args, parser, cohort, standard)
-    parameters = {
-        key: value
-        for key, value in (
-            ("hospital_id", args.hospital),
-            ("stratum_id", args.stratum),
-            ("from_stratum", args.from_stratum),
-            ("to_stratum", args.to_stratum),
-            ("other_hospital", args.other_hospital),
-            ("eta", args.eta),
-            ("lambda", args.scale_factor),
-            ("dp", args.dp),
-        )
-        if value is not None
-    }
+    world = core.World(cohort, standard if args.scheme == core.EXTERNAL else None)
+    if world.scheme != args.scheme:
+        parser.error("external analyses require --standard")
+    given = vars(args)
+    parameters = {key: given[key] for key, _, _ in SENSITIVITY_OPTIONS.values() if given[key] is not None}
+    if "hospital_id" not in parameters:
+        parser.error("sensitivity requires --hospital")
+    row = sensitivity.ANALYSES.get((args.analysis, args.scheme))
+    if row is None:
+        schemes = " or ".join(s for a, s in sensitivity.ANALYSES if a == args.analysis)
+        parser.error(f"{args.analysis} is defined for --scheme {schemes} only")
+    option = {key: name for name, (key, _, _) in SENSITIVITY_OPTIONS.items()}
+    for key in row.needs:
+        if key not in parameters:
+            parser.error(f"--analysis {args.analysis} requires {option[key]}")
+    result = row.run(world, parameters, args.tolerance)
     inputs = {
         "hospitals": report.cohort_payload(cohort),
         "standard": report.standard_payload(standard),

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import fsum
-from typing import Callable, Literal, Mapping
+from typing import Any, Callable, Literal, Mapping
 
 from . import core
 from .core import (
@@ -786,3 +786,65 @@ def standard_shift_add_patients(
         )
     mean_k = core.internal_standard(cohort)[stratum]
     return (rate - mean_k) / (1.0 + n_k / eta)
+
+
+# ---------------------------------------------------------------------------
+# the command line's analyses, one row per (analysis, scheme)
+# ---------------------------------------------------------------------------
+
+
+def _add_patients(
+    cohort: Cohort, hospital: HospitalId, stratum: StratumId, eta: float, zero_tol: float
+) -> SensitivityReport:
+    """The benchmark move of :func:`standard_shift_add_patients` as a report."""
+    value = standard_shift_add_patients(cohort, hospital, stratum, eta)
+    return SensitivityReport(
+        value, classify_sign(value, zero_tol), "p_ik vs stratum mean", details={"eta": eta}
+    )
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """A row of :data:`ANALYSES`: the report function, what it needs, how its check is judged.
+
+    ``needs`` holds the ``parameters`` keys the run requires besides
+    ``hospital_id``, in the order their absence is reported; their values
+    follow the leading arguments, built into one by ``wrap`` when given.
+    ``check`` is ``exact`` for a direct recomputation and ``derivative``
+    for a finite difference.
+    """
+
+    function: Callable[..., SensitivityReport]
+    needs: tuple[str, ...]
+    check: Literal["exact", "derivative"]
+    wrap: Callable[..., object] | None = None
+
+    def run(self, world: core.World, parameters: Mapping[str, Any], tol: float) -> SensitivityReport:
+        """Report on ``world``: external with its standard, internal when it has none."""
+        hospital = parameters["hospital_id"]
+        if world.standard is None:
+            lead: tuple = (world.cohort, hospital)
+        else:
+            lead = (world.cohort.table(hospital), world.standard)
+        values = [parameters[key] for key in self.needs]
+        return self.function(*lead, *([self.wrap(*values)] if self.wrap else values), tol)
+
+
+_SHIFT = ("from_stratum", "to_stratum", "eta")
+
+#: (analysis, scheme) -> row: the 13 analyses of the ``sensitivity`` command.
+ANALYSES: dict[tuple[str, core.Scheme], Analysis] = {
+    ("shift", "external"): Analysis(omega_external, _SHIFT, "exact", CaseMixShift),
+    ("shift", "internal"): Analysis(omega_internal, _SHIFT, "exact", CaseMixShift),
+    ("scale", "external"): Analysis(scale_invariance_external, ("lambda",), "exact", ScaleChange),
+    ("scale", "internal"): Analysis(delta_smr_scale_internal, ("lambda",), "exact", ScaleChange),
+    ("me-actual", "external"): Analysis(me_actual_external, ("stratum_id",), "derivative"),
+    ("me-actual", "internal"): Analysis(me_actual_internal, ("stratum_id",), "derivative"),
+    ("me-expected", "external"): Analysis(me_expected_external, ("stratum_id",), "derivative"),
+    ("me-expected", "internal"): Analysis(dsmr_expected_internal, ("stratum_id", "dp"), "derivative"),
+    ("uniform-actual", "external"): Analysis(dsmr_uniform_actual_external, ("dp",), "derivative"),
+    ("uniform-actual", "internal"): Analysis(dsmr_uniform_actual_internal, ("dp",), "derivative"),
+    ("uniform-expected", "external"): Analysis(dsmr_uniform_expected_external, ("dp",), "derivative"),
+    ("cross", "internal"): Analysis(me_cross_hospital_internal, ("other_hospital", "stratum_id"), "derivative"),
+    ("add-patients", "internal"): Analysis(_add_patients, ("stratum_id", "eta"), "exact"),
+}
