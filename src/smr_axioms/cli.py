@@ -5,7 +5,8 @@ command builds only its own options and imports only the layers it runs
 (``compute`` none beyond ``core``, ``csvio`` and ``report``). Machine
 formats (``json``, ``csv``) are byte-deterministic for fixed inputs and
 seed; display rounding happens only in ``pretty`` mode. Exit codes:
-0 success, 1 data or claim failure, 2 usage error. Set
+0 success, 1 data or claim failure (including a ``sensitivity``
+cross-check over its bound), 2 usage error. Set
 ``SMR_AXIOMS_NO_COLOR`` to disable ANSI styling in pretty mode.
 """
 
@@ -197,6 +198,11 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         if key not in parameters:
             parser.error(f"--analysis {args.analysis} requires {option[key]}")
     result = row.run(world, parameters, args.tolerance)
+    residual, bound = sensitivity.cross_check(result, row.check)
+    agrees = residual <= bound
+    warnings = list(result.flags)
+    if not agrees:
+        warnings.append(f"cross-check residual {residual:.3g} exceeds its {row.check} bound {bound:.3g}")
     inputs = {
         "hospitals": report.cohort_payload(cohort),
         "standard": report.standard_payload(standard),
@@ -211,26 +217,21 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         "parameters": parameters,
         "report": report.sensitivity_payload(result),
     }
-    payload = report.make_report("sensitivity", inputs, results, warnings=list(result.flags))
+    payload = report.make_report("sensitivity", inputs, results, warnings=warnings)
     if args.format == "json":
         _emit(report.dumps(payload), args.out)
     elif args.format == "csv":
-        lines = ["field,value"]
         flat = report.sensitivity_payload(result)
         details = flat.pop("details")
         flat.pop("flags")
-        for key, value in flat.items():
-            rendered = "" if value is None else (format_number(value) if isinstance(value, float) else str(value))
-            lines.append(f"{key},{rendered}")
+        fields = list(flat.items())
         for key in sorted(details, key=str):
             value = details[key]
-            if isinstance(value, float):
-                lines.append(f"details.{key},{format_number(value)}")
-            elif isinstance(value, dict):
-                for sub in sorted(value, key=str):
-                    lines.append(f"details.{key}.{sub},{value[sub]}")
+            if isinstance(value, dict):
+                fields += [(f"details.{key}.{sub}", value[sub]) for sub in sorted(value, key=str)]
             else:
-                lines.append(f"details.{key},{value}")
+                fields.append((f"details.{key}", value))
+        lines = ["field,value"] + [f"{k},{format_number(v) if isinstance(v, float) else v}" for k, v in fields]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         sign_color = {"increase": "31", "decrease": "32", "zero": "2"}[result.sign]
@@ -238,13 +239,14 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             ["value", format_number(result.value)],
             ["sign", _styled(result.sign, sign_color)],
             ["condition", result.condition],
+            ["cross-check", format_number(result.fd_check)],
         ]
-        if result.fd_check is not None:
-            rows.append(["cross-check", format_number(result.fd_check)])
         for key in sorted(result.details, key=str):
             rows.append([str(key), str(result.details[key])])
         _emit(_table_text([f"{args.analysis} ({args.scheme})", "value"], rows), args.out)
-    return 0
+    if not agrees and args.format != "json":
+        print(f"sensitivity: {warnings[-1]}", file=sys.stderr)
+    return 0 if agrees else 1
 
 
 def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -10,12 +10,18 @@ closed-form value with
   derivative-style operations,
 * diagnostic details (shares, thresholds, endogenous benchmark weights).
 
-Discrete changes (case-mix shifts, hospital scaling) obey exact
-algebraic identities: the closed form and the recomputation agree to
-rounding noise, so ``|value - fd_check| <= 1e-12`` on well-conditioned
-inputs. Derivative-style operations (marginal effects, differentials)
-agree with central finite differences (absolute step ``FD_STEP``,
-one-sided at the [0, 1] boundary) to relative error ``1e-5``.
+Discrete changes (case-mix shifts, hospital scaling, added patients)
+obey exact algebraic identities: the closed form and the recomputation
+agree to rounding noise, ``|value - fd_check| <= 1e-12 * max(1, |SMR
+before|, |SMR after|)``, which is 1e-12 absolute for ratios at most 1.
+Derivative-style operations (marginal effects, differentials) agree
+with central finite differences (absolute step ``FD_STEP``, one-sided
+at the [0, 1] boundary) to relative error ``FD_REL_TOL`` (1e-5).
+
+:data:`ANALYSES` holds the command line's 13 analyses, one row per
+(analysis, scheme): the report function, the parameters it needs and
+its cross-check kind. :func:`cross_check` gives a report's residual and
+bound; the ``sensitivity`` command exits 1 when the residual is larger.
 
 Under the internal scheme the benchmark is endogenous, so every
 cross-check rebuilds the benchmark from the perturbed cohort. That
@@ -58,6 +64,9 @@ Sign = Literal["increase", "zero", "decrease"]
 SIGN_ZERO_TOL = 1e-12
 #: Absolute step of the central finite differences.
 FD_STEP = 1e-6
+#: Relative agreement bound of a finite-difference cross-check, and its absolute floor.
+FD_REL_TOL = 1e-5
+FD_ABS_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,16 @@ def classify_sign(value: float, zero_tol: float = SIGN_ZERO_TOL) -> Sign:
     if abs(value) <= zero_tol:
         return "zero"
     return "increase" if value > 0.0 else "decrease"
+
+
+def cross_check(report: SensitivityReport, kind: str) -> tuple[float, float]:
+    """``(residual, bound)`` of the report's cross-check of ``kind``; see the module docstring."""
+    residual = abs(report.value - report.fd_check)
+    if kind == "derivative":
+        scale = max(abs(report.value), abs(report.fd_check), 1.0)
+        return residual, max(FD_REL_TOL * scale, FD_ABS_FLOOR)
+    ratios = [abs(report.details[key]) for key in ("smr", "smr_before", "smr_after") if key in report.details]
+    return residual, core.EXACT_TOL * max([1.0, *ratios])
 
 
 # ---------------------------------------------------------------------------
@@ -796,22 +815,23 @@ def standard_shift_add_patients(
 def _add_patients(
     cohort: Cohort, hospital: HospitalId, stratum: StratumId, eta: float, zero_tol: float
 ) -> SensitivityReport:
-    """The benchmark move of :func:`standard_shift_add_patients` as a report."""
+    """The benchmark move, cross-checked on a cohort whose stratum holds ``eta`` more patients."""
     value = standard_shift_add_patients(cohort, hospital, stratum, eta)
+    table = cohort.table(hospital)
+    grown = cohort.with_table(with_cell(table, stratum, table.count(stratum) + eta, table.rate(stratum)))
+    fd = core.internal_standard(grown)[stratum] - core.internal_standard(cohort)[stratum]
     return SensitivityReport(
-        value, classify_sign(value, zero_tol), "p_ik vs stratum mean", details={"eta": eta}
+        value, classify_sign(value, zero_tol), "p_ik vs stratum mean", fd_check=fd, details={"eta": eta}
     )
 
 
 @dataclass(frozen=True)
 class Analysis:
-    """A row of :data:`ANALYSES`: the report function, what it needs, how its check is judged.
+    """A row of :data:`ANALYSES`, with the ``check`` kind passed to :func:`cross_check`.
 
     ``needs`` holds the ``parameters`` keys the run requires besides
-    ``hospital_id``, in the order their absence is reported; their values
-    follow the leading arguments, built into one by ``wrap`` when given.
-    ``check`` is ``exact`` for a direct recomputation and ``derivative``
-    for a finite difference.
+    ``hospital_id``, in the order their absence is reported. Their values
+    follow the leading arguments, built into one argument by ``wrap``.
     """
 
     function: Callable[..., SensitivityReport]
@@ -830,12 +850,10 @@ class Analysis:
         return self.function(*lead, *([self.wrap(*values)] if self.wrap else values), tol)
 
 
-_SHIFT = ("from_stratum", "to_stratum", "eta")
-
 #: (analysis, scheme) -> row: the 13 analyses of the ``sensitivity`` command.
 ANALYSES: dict[tuple[str, core.Scheme], Analysis] = {
-    ("shift", "external"): Analysis(omega_external, _SHIFT, "exact", CaseMixShift),
-    ("shift", "internal"): Analysis(omega_internal, _SHIFT, "exact", CaseMixShift),
+    ("shift", "external"): Analysis(omega_external, ("from_stratum", "to_stratum", "eta"), "exact", CaseMixShift),
+    ("shift", "internal"): Analysis(omega_internal, ("from_stratum", "to_stratum", "eta"), "exact", CaseMixShift),
     ("scale", "external"): Analysis(scale_invariance_external, ("lambda",), "exact", ScaleChange),
     ("scale", "internal"): Analysis(delta_smr_scale_internal, ("lambda",), "exact", ScaleChange),
     ("me-actual", "external"): Analysis(me_actual_external, ("stratum_id",), "derivative"),

@@ -5,7 +5,9 @@ from random import Random
 
 import pytest
 
+from smr_axioms import sensitivity
 from smr_axioms.cli import main
+from smr_axioms.core import EXACT_TOL
 from smr_axioms.csvio import emit_hospitals, emit_standard, ingest, load_hospitals
 from smr_axioms.errors import ValidationError
 from smr_axioms.report import inputs_digest
@@ -274,6 +276,84 @@ class TestSensitivityCommand:
         )
         assert code == 0
         assert payload["results"]["report"]["value"] > 0.0
+
+
+CLAMPED_CSV = """hospital_id,stratum_id,patients,mortality_rate
+H1,1,10,0.2
+H1,2,10,0.8
+H2,1,10,0.1
+H2,2,10,0.5
+"""
+
+CLAMPED_STANDARD_CSV = """stratum_id,expected_rate
+1,0.15
+2,0.6
+"""
+
+LARGE_SMR_CSV = """hospital_id,stratum_id,patients,mortality_rate
+H1,1,37,0.31
+H1,2,53,0.47
+H2,1,20,0.2
+H2,2,20,0.3
+"""
+
+LARGE_SMR_STANDARD_CSV = """stratum_id,expected_rate
+1,0.00013
+2,0.00007
+"""
+
+
+class TestCrossCheckAtRunTime:
+    """A report whose closed form and cross-check disagree beyond their bound exits 1."""
+
+    @staticmethod
+    def _argv(tmp_path, hospitals_csv, standard_csv, *options):
+        hospitals, standard = tmp_path / "h.csv", tmp_path / "s.csv"
+        hospitals.write_text(hospitals_csv)
+        standard.write_text(standard_csv)
+        return ["sensitivity", "--hospitals", str(hospitals), "--standard", str(standard),
+                "--scheme", "external", "--hospital", "H1", *options]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_clamped_uniform_actual_exits_1(self, tmp_path, capsys, fmt):
+        argv = self._argv(tmp_path, CLAMPED_CSV, CLAMPED_STANDARD_CSV,
+                          "--analysis", "uniform-actual", "--dp", "0.5", "--format", fmt)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        warning = "cross-check residual 0.4 exceeds its derivative bound 1.33e-05"
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["warnings"] == [warning]
+            assert payload["results"]["report"]["value"] == pytest.approx(4.0 / 3.0)
+            assert payload["results"]["report"]["fd_check"] == pytest.approx(0.9333333333333333)
+            assert err == ""
+        else:
+            assert "1.3333333333333333" in out and "0.93333333333333335" in out
+            assert err == f"sensitivity: {warning}\n"
+
+    def test_large_ratio_shift_exits_0(self, tmp_path, capsys):
+        argv = self._argv(tmp_path, LARGE_SMR_CSV, LARGE_SMR_STANDARD_CSV, "--analysis", "shift",
+                          "--from-stratum", "2", "--to-stratum", "1", "--eta", "7")
+        code, payload = run_json(capsys, argv)
+        rep = payload["results"]["report"]
+        assert code == 0 and payload["warnings"] == []
+        assert rep["details"]["smr_before"] == pytest.approx(4270.0, rel=1e-3)
+        assert abs(rep["value"] - rep["fd_check"]) > EXACT_TOL
+
+    def test_wrong_add_patients_value_exits_1(self, tmp_path, capsys, monkeypatch):
+        hospitals = tmp_path / "h.csv"
+        hospitals.write_text(TWO_HOSPITAL_CSV)
+        argv = ["sensitivity", "--hospitals", str(hospitals), "--scheme", "internal",
+                "--analysis", "add-patients", "--hospital", "H1", "--stratum", "2", "--eta", "5"]
+        code, payload = run_json(capsys, argv)
+        rep = payload["results"]["report"]
+        assert code == 0 and payload["warnings"] == []
+        assert abs(rep["value"] - rep["fd_check"]) <= EXACT_TOL
+        original = sensitivity.standard_shift_add_patients
+        monkeypatch.setattr(sensitivity, "standard_shift_add_patients", lambda *a: original(*a) + 1e-3)
+        code, payload = run_json(capsys, argv)
+        assert code == 1
+        assert payload["warnings"] == ["cross-check residual 0.001 exceeds its exact bound 1e-12"]
 
 
 class TestAuditCommand:

@@ -3,6 +3,7 @@
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from smr_axioms import (
     CaseMixShift,
@@ -40,16 +41,17 @@ from smr_axioms.errors import (
     UndefinedRateError,
     ZeroExpectedRateError,
 )
+from smr_axioms.core import World
 from smr_axioms.scenarios import ScenarioSpec, build_scenario
+from smr_axioms.sensitivity import ANALYSES, SIGN_ZERO_TOL, cross_check
 
+from test_golden import SENSITIVITY_RUNS
 from worlds import populated_strata, random_cohort, random_standard
 
-FD_ABS_FLOOR = 1e-8
 
-
-def fd_close(report):
-    scale = max(1.0e0 * abs(report.value), abs(report.fd_check), 1.0)
-    return abs(report.value - report.fd_check) <= max(1e-5 * scale, FD_ABS_FLOOR)
+def agrees(report):
+    residual, bound = cross_check(report, "derivative")
+    return residual <= bound
 
 
 def casemix_ext_world(eta=0.0):
@@ -187,7 +189,7 @@ class TestMarginalEffectsExternal:
         world = build_scenario(ScenarioSpec("actual-ext", (0.1,)), 0.1)
         report = me_actual_external(world.cohort.table("H1"), world.standard, "1")
         assert report.value == pytest.approx(4.0, abs=EXACT_TOL)
-        assert fd_close(report)
+        assert agrees(report)
 
     def test_me_actual_empty_stratum(self):
         table = StratumTable.build("H", {"a": (10.0, 0.2), "b": (0.0, 0.1)})
@@ -221,7 +223,7 @@ class TestMarginalEffectsExternal:
         world = build_scenario(ScenarioSpec("expected-ext", (0.1,)), 0.1)
         report = me_expected_external(world.cohort.table("H1"), world.standard, "1")
         assert report.value == pytest.approx(-7.5, abs=EXACT_TOL)
-        assert fd_close(report)
+        assert agrees(report)
 
     def test_me_expected_is_negative_smr_times_me_actual(self):
         rng = Random(7)
@@ -239,7 +241,7 @@ class TestMarginalEffectsExternal:
         standard = ExternalStandard({"1": 0.1, "2": 0.1})
         report = dsmr_uniform_expected_external(table, standard, 0.01)
         assert report.value == pytest.approx(-(7.0 / 6.0) * 0.1, abs=EXACT_TOL)
-        assert fd_close(report)
+        assert agrees(report)
         assert dsmr_uniform_expected_external(table, standard, 0.0).value == 0.0
 
     def test_uniform_shifts_mirror_at_unity(self):
@@ -378,7 +380,7 @@ class TestMarginalEffectsInternal:
         assert report.value < 0.0
         assert report.condition == "SMR > n_k/n_hk"
         assert report.details["threshold"] == pytest.approx(1.25, abs=EXACT_TOL)
-        assert fd_close(report)
+        assert agrees(report)
 
     def test_empty_stratum_no_effect(self):
         world = actual_int_world(0.5, 1.0)
@@ -412,7 +414,7 @@ class TestMarginalEffectsInternal:
         result = smr_internal(world.cohort, "H1")
         assert report.value < dp / result.expected_rate
         assert report.details["inner_denominator"] == "n_s"
-        assert fd_close(report)
+        assert agrees(report)
 
     def test_uniform_internal_negligible_hospital(self):
         cohort = Cohort.build(
@@ -443,7 +445,7 @@ class TestExpectedAndCrossInternal:
         report = dsmr_expected_internal(world.cohort, "H1", "1", 0.01)
         assert report.sign == "decrease"
         assert report.details["share_factor"] == "n_hk/n_h"
-        assert fd_close(report)
+        assert agrees(report)
 
     def test_chains_to_cross_hospital_effect(self):
         world = actual_int_world(0.5, 0.8)
@@ -460,7 +462,7 @@ class TestExpectedAndCrossInternal:
         world = actual_int_world(0.5, 0.6)
         report = me_cross_hospital_internal(world.cohort, "H2", "H1", "1")
         assert report.sign == "decrease"
-        assert fd_close(report)
+        assert agrees(report)
 
     def test_cross_effect_zero_without_exposure(self):
         world = actual_int_world(0.5, 0.6)
@@ -572,7 +574,7 @@ class TestRandomizedIdentities:
                 dsmr_expected_internal(cohort, h, k, dp),
                 me_cross_hospital_internal(cohort, h, other, k),
             ):
-                assert fd_close(report), report
+                assert agrees(report), report
 
     def test_sign_always_matches_recomputation(self):
         rng = Random(999)
@@ -590,3 +592,48 @@ class TestRandomizedIdentities:
                     assert report.sign == "increase"
                 else:
                     assert report.sign == "decrease"
+
+
+class TestCrossCheckBound:
+    def test_every_row_has_a_golden_run(self):
+        assert sorted(ANALYSES) == sorted(SENSITIVITY_RUNS)
+
+    def test_exact_bound_scales_with_the_ratios_subtracted(self):
+        table = StratumTable.build("H1", {"1": (37.0, 0.31), "2": (53.0, 0.47)})
+        standard = ExternalStandard({"1": 0.00013, "2": 0.00007})
+        report = omega_external(table, standard, CaseMixShift("2", "1", 7.0))
+        residual, bound = cross_check(report, "exact")
+        assert report.details["smr_before"] == pytest.approx(4270.0, rel=1e-3)
+        assert bound == EXACT_TOL * report.details["smr_before"]
+        assert EXACT_TOL < residual <= bound
+
+    def test_exact_bound_is_absolute_for_ratios_at_most_one(self):
+        report = omega_external(
+            StratumTable.build("H1", {"1": (10.0, 0.1), "2": (10.0, 0.1)}),
+            ExternalStandard({"1": 0.2, "2": 0.2}),
+            CaseMixShift("1", "2", 5.0),
+        )
+        assert cross_check(report, "exact")[1] == EXACT_TOL
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(-0.009, 0.009))
+    @settings(max_examples=300, deadline=None)
+    def test_no_false_warning_on_well_conditioned_input(self, seed, allow_empty, dp):
+        # rates are at least 0.01 and standard rates at least 0.05, so |dp| < 0.01 never clamps
+        rng = Random(seed)
+        cohort, strata = random_cohort(rng, allow_empty=allow_empty)
+        standard = random_standard(rng, strata)
+        table = cohort.hospitals[0]
+        l = rng.choice(populated_strata(table))
+        receivers = [s for s in strata if s != l and table.rate(s) is not None and cohort.stratum_count(s) > 0.0]
+        assume(receivers)
+        k = rng.choice(receivers)
+        parameters = {
+            "hospital_id": table.hospital, "stratum_id": k, "from_stratum": l, "to_stratum": k,
+            "other_hospital": cohort.hospitals[1].hospital, "eta": table.count(l) * rng.uniform(0.2, 1.0),
+            "lambda": 10.0 ** rng.uniform(-0.7, 0.7), "dp": dp,
+        }
+        for (analysis, scheme), row in ANALYSES.items():
+            world = World(cohort, standard if scheme == "external" else None)
+            report = row.run(world, parameters, SIGN_ZERO_TOL)
+            residual, bound = cross_check(report, row.check)
+            assert residual <= bound, (analysis, scheme, report)
