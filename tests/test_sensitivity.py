@@ -33,6 +33,7 @@ from smr_axioms import (
     smr_internal_scale_limit,
     standard_shift_add_patients,
 )
+from smr_axioms.core import World
 from smr_axioms.errors import (
     InvalidParameterError,
     NotConcentratedError,
@@ -41,7 +42,6 @@ from smr_axioms.errors import (
     UndefinedRateError,
     ZeroExpectedRateError,
 )
-from smr_axioms.core import World
 from smr_axioms.scenarios import ScenarioSpec, build_scenario
 from smr_axioms.sensitivity import ANALYSES, SIGN_ZERO_TOL, cross_check
 
