@@ -9,7 +9,7 @@ from smr_axioms import sensitivity
 from smr_axioms.cli import main
 from smr_axioms.core import EXACT_TOL
 from smr_axioms.csvio import emit_hospitals, emit_standard, ingest, load_hospitals
-from smr_axioms.errors import ValidationError
+from smr_axioms.errors import ParseError, ValidationError
 from smr_axioms.report import inputs_digest
 
 from worlds import random_cohort, random_standard
@@ -155,6 +155,38 @@ class TestIngestValidation:
         bad.write_text("a,b,c,d\nH1,1,5,0.1\n")
         assert main(["compute", "--hospitals", str(bad), "--scheme", "internal"]) == 1
 
+    @pytest.mark.parametrize(
+        "hospital_rows, standard_rows, row, error",
+        [
+            ("H1,1,5,0.1\nH1,2,inf,0.1\n", None, 3, ParseError),
+            ("H1,1,5\n", None, 2, ParseError),
+            ("H1,1,5,0.1\n", "1,0.1,0.2\n", 2, ParseError),
+            ("H1,1,5,0.1\n,2,5,0.1\n", None, 3, ValidationError),
+            ("H1,1,-5,0.1\n", None, 2, ValidationError),
+            ("", None, 1, ValidationError),
+            ("H1,1,5,0.1\n", "1,0.1\n,0.2\n", 3, ValidationError),
+            ("H1,1,5,0.1\n", "1,0.1\n1,0.2\n", 3, ValidationError),
+            ("H1,1,5,0.1\n", "1,1.5\n", 2, ValidationError),
+        ],
+        ids=["non-finite", "hospitals-field-count", "standard-field-count", "empty-id", "negative-patients",
+             "no-rows", "empty-standard-stratum", "duplicate-standard-stratum", "standard-rate-above-one"],
+    )
+    def test_refusal_names_its_row(self, hospital_rows, standard_rows, row, error, tmp_path, capsys):
+        hospitals = tmp_path / "h.csv"
+        hospitals.write_text("hospital_id,stratum_id,patients,mortality_rate\n" + hospital_rows)
+        argv = ["compute", "--hospitals", str(hospitals), "--scheme", "internal"]
+        standard = None
+        if standard_rows is not None:
+            standard = tmp_path / "s.csv"
+            standard.write_text("stratum_id,expected_rate\n" + standard_rows)
+            argv = ["compute", "--hospitals", str(hospitals), "--standard", str(standard), "--scheme", "external"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: row {row}" in captured.err
+        with pytest.raises(error) as exc:
+            ingest(hospitals, standard)
+        assert exc.value.row == row
+
 
 class TestSensitivityCommand:
     def test_scale_external_zero(self, table2, capsys):
@@ -232,6 +264,33 @@ class TestSensitivityCommand:
                  "--from-stratum", "1", "--to-stratum", "2"],
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "scheme, options, message",
+        [
+            ("external", ["--analysis", "scale", "--lambda", "0"], "scale factor must be > 0"),
+            ("external", ["--analysis", "shift", "--from-stratum", "1", "--to-stratum", "2", "--eta", "-1"],
+             "eta must be >= 0"),
+            ("external", ["--analysis", "shift", "--from-stratum", "1", "--to-stratum", "1", "--eta", "1"],
+             "shift needs two distinct strata"),
+            ("internal", ["--analysis", "me-actual", "--stratum", "NOPE"], "has no patients cohort-wide"),
+            ("internal", ["--analysis", "cross", "--other-hospital", "H2", "--stratum", "NOPE"],
+             "has no patients cohort-wide"),
+            ("internal", ["--analysis", "add-patients", "--stratum", "NOPE", "--eta", "2"],
+             "has no patients cohort-wide"),
+        ],
+        ids=["lambda-zero", "eta-negative", "same-strata", "me-actual-unknown-stratum",
+             "cross-unknown-stratum", "add-patients-unknown-stratum"],
+    )
+    def test_refused_parameter_is_data_error(self, scheme, options, message, tmp_path, capsys):
+        hospitals, standard = tmp_path / "h.csv", tmp_path / "s.csv"
+        hospitals.write_text(TWO_HOSPITAL_CSV)
+        standard.write_text(FLAT_STANDARD_CSV)
+        code = main(["sensitivity", "--hospitals", str(hospitals), "--standard", str(standard),
+                     "--scheme", scheme, "--hospital", "H1", *options])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
 
     def test_overdraw_is_data_error(self, table2, capsys):
         hospitals, standard = table2
@@ -406,6 +465,16 @@ class TestAuditCommand:
         assert plain["inputs_digest"] == inputs_digest(inputs)
         assert expecting["inputs_digest"] == inputs_digest({**inputs, "expect_paper": True})
 
+    def test_unexpected_matrix_exits_1(self, capsys, monkeypatch):
+        from smr_axioms import audit
+
+        monkeypatch.setattr(audit, "matches_expected_matrix", lambda matrix: False)
+        code = main(["audit", "--trials", "0", "--expect-paper"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["results"]["expected_matrix_ok"] is False
+        assert err == "audit: built-in matrix differs from the expected pattern\n"
+
     def test_csv_format(self, capsys):
         code = main(["audit", "--trials", "30", "--format", "csv"])
         out = capsys.readouterr().out
@@ -433,6 +502,14 @@ class TestScenarioCommand:
         claims = {c["name"]: c for c in payload["results"]["claims"]}
         assert claims["crossing-at-0.14"]["passed"] is True
 
+    def test_failed_claim_exits_1(self, capsys):
+        code = main(["scenario", "--name", "expected-ext", "--check-claims", "--min", "0.2", "--max", "0.3",
+                     "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.startswith("p1e,H1,H2\n")
+        assert captured.err == "claim crossing-at-0.14: FAILED\n"
+
     def test_override_changes_regime(self, capsys):
         code, payload = run_json(
             capsys,
@@ -459,6 +536,21 @@ class TestScenarioCommand:
         with pytest.raises(SystemExit) as exc:
             main(["scenario", "--name", "actual-int", "--override", "w11"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--step", "0"], "--step must be > 0"),
+            (["--min", "3", "--max", "2"], "--max must be >= --min"),
+            (["--override", "w11=abc"], "--override value must be numeric, got 'w11=abc'"),
+        ],
+        ids=["step-zero", "max-below-min", "override-not-numeric"],
+    )
+    def test_refused_grid_or_override_is_usage_error(self, options, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "--name", "actual-int", *options])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_scenario_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
 """Byte-for-byte regression against committed CLI outputs.
 
-Each file in ``tests/golden/`` is the JSON or CSV stdout of one CLI run
-on seeded inputs. A refactor that claims "same outputs" must leave every
+Each file in ``tests/golden/`` is the JSON, CSV or pretty (``.txt``,
+without ANSI styling) stdout of one CLI run on seeded inputs. A refactor that claims "same outputs" must leave every
 file unchanged. To regenerate them after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root
 and review the diff.
@@ -10,10 +10,12 @@ and review the diff.
 from __future__ import annotations
 
 import io
+import os
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
 
@@ -48,6 +50,9 @@ CASES = {
     "scenario_actual_int_w11_1.0.json": [
         "scenario", "--name", "actual-int", "--override", "w11=1.0", "--check-claims",
     ],
+    "audit_seed0_trials200.txt": ["audit", "--seed", "0", "--trials", "200", "--format", "pretty"],
+    "scenario_expected_ext.csv": ["scenario", "--name", "expected-ext", "--check-claims", "--format", "csv"],
+    "scenario_expected_ext.txt": ["scenario", "--name", "expected-ext", "--check-claims", "--format", "pretty"],
 }
 
 #: The 13 valid (analysis, scheme) pairs of ``sensitivity`` and their options on the golden cohort.
@@ -67,9 +72,9 @@ SENSITIVITY_RUNS = {
     ("add-patients", "internal"): ["--stratum", "S2", "--eta", "5"],
 }
 for (analysis, scheme), options in SENSITIVITY_RUNS.items():
-    for fmt in ("json", "csv"):
+    for fmt, suffix in (("json", "json"), ("csv", "csv"), ("pretty", "txt")):
         standard = ["--standard", "{standard}"] if scheme == "external" else []
-        CASES[f"sensitivity_{analysis.replace('-', '_')}_{scheme[:3]}.{fmt}"] = [
+        CASES[f"sensitivity_{analysis.replace('-', '_')}_{scheme[:3]}.{suffix}"] = [
             "sensitivity", "--hospitals", "{hospitals}", *standard, "--scheme", scheme,
             "--analysis", analysis, "--hospital", "H1", *options, "--format", fmt,
         ]
@@ -90,7 +95,7 @@ def write_inputs(directory: Path) -> dict[str, str]:
 def run_case(name: str, paths: dict[str, str]) -> str:
     argv = [arg.format(**paths) for arg in CASES[name]]
     buffer = io.StringIO()
-    with redirect_stdout(buffer):
+    with redirect_stdout(buffer), mock.patch.dict(os.environ, {"SMR_AXIOMS_NO_COLOR": "1"}):
         code = main(argv)
     assert code == 0, f"{name}: exit {code}"
     return buffer.getvalue()

@@ -99,6 +99,14 @@ class TestShiftCaseMix:
         with pytest.raises(UndefinedRateError):
             shift_case_mix(table, CaseMixShift("a", "b", 2.0))
 
+    def test_closed_forms_refuse_a_destination_without_rate(self):
+        cohort = Cohort.build({"H": {"a": (5.0, 0.2), "b": (0.0, None)}, "G": {"b": (10.0, 0.1)}})
+        shift = CaseMixShift("a", "b", 2.0)
+        with pytest.raises(UndefinedRateError):
+            omega_external(cohort.table("H"), ExternalStandard({"a": 0.1, "b": 0.2}), shift)
+        with pytest.raises(UndefinedRateError):
+            omega_internal(cohort, "H", shift)
+
     def test_integral_mode(self):
         with pytest.raises(InvalidParameterError):
             CaseMixShift.integral("a", "b", 2.5)
@@ -614,6 +622,27 @@ class TestCrossCheckBound:
             CaseMixShift("1", "2", 5.0),
         )
         assert cross_check(report, "exact")[1] == EXACT_TOL
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 4.0))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_rows_stay_in_bound_far_from_unity(self, seed, u):
+        # standard rates down to 5e-6 put the ratio near 1e5, where a flat EXACT_TOL rejects correct reports
+        rng = Random(seed)
+        cohort, strata = random_cohort(rng)
+        standard = ExternalStandard({s: r * 10.0 ** -u for s, r in random_standard(rng, strata).rates.items()})
+        table = cohort.hospitals[0]
+        l = rng.choice(populated_strata(table))
+        receivers = [s for s in strata if s != l and table.rate(s) is not None]
+        assume(receivers)
+        parameters = {
+            "hospital_id": table.hospital, "from_stratum": l, "to_stratum": rng.choice(receivers),
+            "eta": table.count(l) * rng.uniform(0.2, 1.0), "lambda": 10.0 ** rng.uniform(-0.7, 0.7),
+        }
+        for analysis in ("shift", "scale"):
+            row = ANALYSES[analysis, "external"]
+            report = row.run(World(cohort, standard), parameters, SIGN_ZERO_TOL)
+            residual, bound = cross_check(report, row.check)
+            assert residual <= bound, (analysis, report)
 
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(-0.009, 0.009))
     @settings(max_examples=300, deadline=None)
