@@ -10,13 +10,21 @@ closed-form value with
   derivative-style operations,
 * diagnostic details (shares, thresholds, endogenous benchmark weights).
 
+Every report is built by one skeleton, ``_report``: it classifies the
+sign of the value and fills the ``{}`` of the condition with the
+relation of that sign (``>``, ``==``, ``<``, or reversed for conditions
+that put the SMR below a threshold). A run that does not touch the
+hospital (``eta == 0``, ``n_hk == 0``, ``n_ik == 0``) gets the exact-zero
+report of ``_unexposed``. Both schemes' case-mix shifts share one
+closed form; only the benchmark-side rate difference differs.
+
 Discrete changes (case-mix shifts, hospital scaling, added patients)
 obey exact algebraic identities: the closed form and the recomputation
 agree to rounding noise, ``|value - fd_check| <= 1e-12 * max(1, |SMR
 before|, |SMR after|)``, which is 1e-12 absolute for ratios at most 1.
 Derivative-style operations (marginal effects, differentials) agree
 with central finite differences (absolute step ``FD_STEP``, one-sided
-at the [0, 1] boundary) to relative error ``FD_REL_TOL`` (1e-5).
+at the [0, 1] boundary) to ``1e-5 * max(1, |value|, |fd_check|)``.
 
 :data:`ANALYSES` holds the command line's 13 analyses, one row per
 (analysis, scheme): the report function, the parameters it needs and
@@ -64,9 +72,12 @@ Sign = Literal["increase", "zero", "decrease"]
 SIGN_ZERO_TOL = 1e-12
 #: Absolute step of the central finite differences.
 FD_STEP = 1e-6
-#: Relative agreement bound of a finite-difference cross-check, and its absolute floor.
+#: Relative agreement bound of a finite-difference cross-check.
 FD_REL_TOL = 1e-5
-FD_ABS_FLOOR = 1e-8
+#: Relation filled into a condition for each sign; ``_FLIPPED`` for conditions
+#: where an increase puts the SMR below a threshold.
+_REL = {"increase": ">", "zero": "==", "decrease": "<"}
+_FLIPPED = {"increase": "<", "zero": "==", "decrease": ">"}
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,7 @@ class SensitivityReport:
     value: float
     sign: Sign
     condition: str
-    fd_check: float | None = None
+    fd_check: float
     details: Mapping[str, object] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
 
@@ -128,12 +139,30 @@ def classify_sign(value: float, zero_tol: float = SIGN_ZERO_TOL) -> Sign:
     return "increase" if value > 0.0 else "decrease"
 
 
+def _report(
+    value: float,
+    zero_tol: float,
+    condition: str,
+    fd: float,
+    details: Mapping[str, object],
+    rel: Mapping[Sign, str] = _REL,
+    flags: tuple[str, ...] = (),
+) -> SensitivityReport:
+    """Report ``value``, with the relation of its sign in the ``{}`` of ``condition``."""
+    sign = classify_sign(value, zero_tol)
+    return SensitivityReport(value, sign, condition.format(rel[sign]), fd, details, flags)
+
+
+def _unexposed(condition: str, **details: object) -> SensitivityReport:
+    """The exact-zero report of a change that does not reach the hospital's ratio."""
+    return SensitivityReport(0.0, "zero", condition, 0.0, details)
+
+
 def cross_check(report: SensitivityReport, kind: str) -> tuple[float, float]:
     """``(residual, bound)`` of the report's cross-check of ``kind``; see the module docstring."""
     residual = abs(report.value - report.fd_check)
     if kind == "derivative":
-        scale = max(abs(report.value), abs(report.fd_check), 1.0)
-        return residual, max(FD_REL_TOL * scale, FD_ABS_FLOOR)
+        return residual, FD_REL_TOL * max(abs(report.value), abs(report.fd_check), 1.0)
     ratios = [abs(report.details[key]) for key in ("smr", "smr_before", "smr_after") if key in report.details]
     return residual, core.EXACT_TOL * max([1.0, *ratios])
 
@@ -191,6 +220,31 @@ def _offset_slope(f: Callable[[float], float], step: float = FD_STEP) -> float:
     return (f(step) - f(-step)) / (2.0 * step)
 
 
+def _shift_report(
+    table: StratumTable,
+    shift: CaseMixShift,
+    before: core.SmrResult,
+    after: core.SmrResult,
+    benchmark: str,
+    benchmark_diff: float,
+    zero_tol: float,
+    details: Mapping[str, object],
+    flags: tuple[str, ...] = (),
+) -> SensitivityReport:
+    """The case-mix shift of either scheme; ``benchmark`` names its benchmark-side rate difference.
+
+        value = [(p_hk - p_hl) - benchmark_diff * SMR]
+                / [n_h * pbar_e / eta + benchmark_diff]
+    """
+    actual_diff = table.cell(shift.to_stratum).rate - table.cell(shift.from_stratum).rate
+    numerator = actual_diff - benchmark_diff * before.smr
+    denominator = table.total_count * before.expected_rate / shift.eta + benchmark_diff
+    value = numerator / denominator
+    fd = after.smr - before.smr
+    details = {**details, "actual_diff": actual_diff, "smr_before": before.smr, "smr_after": after.smr}
+    return _report(value, zero_tol, f"(p_hk - p_hl) {{}} ({benchmark}) * SMR", fd, details, flags=flags)
+
+
 # ---------------------------------------------------------------------------
 # external standardization
 # ---------------------------------------------------------------------------
@@ -215,35 +269,15 @@ def omega_external(
     """
     before = core.smr_external(table, standard)
     if shift.eta == 0.0:
-        return SensitivityReport(0.0, "zero", "eta == 0", fd_check=0.0)
+        return _unexposed("eta == 0")
     shifted = shift_case_mix(table, shift)
     after = core.smr_external(shifted, standard)
-    fd = after.smr - before.smr
 
     k, l = shift.to_stratum, shift.from_stratum
-    p_hk, p_hl = table.cell(k).rate, table.cell(l).rate
-    if p_hk is None or p_hl is None:
-        raise UndefinedRateError("both shifted strata must define rates")
     e_k, e_l = standard.rate(k), standard.rate(l)
-    actual_diff = p_hk - p_hl
     standard_diff = e_k - e_l
-    numerator = actual_diff - standard_diff * before.smr
-    denominator = table.total_count * before.expected_rate / shift.eta + standard_diff
-    value = numerator / denominator
-
-    sign = classify_sign(value, zero_tol)
-    rel = {"increase": ">", "zero": "==", "decrease": "<"}[sign]
-    return SensitivityReport(
-        value,
-        sign,
-        f"(p_hk - p_hl) {rel} (p_ek - p_el) * SMR",
-        fd_check=fd,
-        details={
-            "actual_diff": actual_diff,
-            "standard_diff": standard_diff,
-            "smr_before": before.smr,
-            "smr_after": after.smr,
-        },
+    return _shift_report(
+        table, shift, before, after, "p_ek - p_el", standard_diff, zero_tol, {"standard_diff": standard_diff}
     )
 
 
@@ -277,13 +311,7 @@ def scale_invariance_external(
     before = core.smr_external(table, standard)
     after = core.smr_external(scale_hospital(table, change), standard)
     value = after.smr - before.smr
-    return SensitivityReport(
-        value,
-        classify_sign(value, zero_tol),
-        "scale factor cancels",
-        fd_check=value,
-        details={"factor": change.factor, "smr": before.smr},
-    )
+    return _report(value, zero_tol, "scale factor cancels", value, {"factor": change.factor, "smr": before.smr})
 
 
 def me_actual_external(
@@ -303,20 +331,14 @@ def me_actual_external(
     before = core.smr_external(table, standard)
     share = cell.count / table.total_count
     if cell.count <= 0.0:
-        return SensitivityReport(0.0, "zero", "n_hk == 0", fd_check=0.0, details={"share": 0.0})
+        return _unexposed("n_hk == 0", share=0.0)
     value = share / before.expected_rate
 
     def f(x: float) -> float:
         return core.smr_external(with_rate(table, stratum, x), standard).smr
 
     fd = _central_slope(f, cell.rate)
-    return SensitivityReport(
-        value,
-        classify_sign(value, zero_tol),
-        "n_hk > 0",
-        fd_check=fd,
-        details={"share": share, "expected_rate": before.expected_rate},
-    )
+    return _report(value, zero_tol, "n_hk > 0", fd, {"share": share, "expected_rate": before.expected_rate})
 
 
 def me_expected_external(
@@ -337,7 +359,7 @@ def me_expected_external(
     before = core.smr_external(table, standard)
     share = cell.count / table.total_count
     if cell.count <= 0.0:
-        return SensitivityReport(0.0, "zero", "n_hk == 0", fd_check=0.0, details={"share": 0.0})
+        return _unexposed("n_hk == 0", share=0.0)
     value = -before.smr * share / before.expected_rate
 
     def f(x: float) -> float:
@@ -345,13 +367,8 @@ def me_expected_external(
         return core.smr_external(table, shifted).smr
 
     fd = _central_slope(f, standard.rate(stratum))
-    return SensitivityReport(
-        value,
-        classify_sign(value, zero_tol),
-        "n_hk > 0",
-        fd_check=fd,
-        details={"share": share, "smr": before.smr, "expected_rate": before.expected_rate},
-    )
+    details = {"share": share, "smr": before.smr, "expected_rate": before.expected_rate}
+    return _report(value, zero_tol, "n_hk > 0", fd, details)
 
 
 def dsmr_uniform_actual_external(
@@ -371,13 +388,7 @@ def dsmr_uniform_actual_external(
     before = core.smr_external(table, standard)
     value = dp / before.expected_rate
     fd = core.smr_external(_shift_all_rates(table, dp), standard).smr - before.smr
-    return SensitivityReport(
-        value,
-        classify_sign(value, zero_tol),
-        "dp / pbar_e",
-        fd_check=fd,
-        details={"dp": dp, "expected_rate": before.expected_rate},
-    )
+    return _report(value, zero_tol, "dp / pbar_e", fd, {"dp": dp, "expected_rate": before.expected_rate})
 
 
 def dsmr_uniform_expected_external(
@@ -400,13 +411,8 @@ def dsmr_uniform_expected_external(
         return core.smr_external(table, shifted).smr
 
     fd = _offset_slope(g) * dp
-    return SensitivityReport(
-        value,
-        classify_sign(value, zero_tol),
-        "-SMR * dp / pbar_e",
-        fd_check=fd,
-        details={"dp": dp, "smr": before.smr, "expected_rate": before.expected_rate},
-    )
+    details = {"dp": dp, "smr": before.smr, "expected_rate": before.expected_rate}
+    return _report(value, zero_tol, "-SMR * dp / pbar_e", fd, details)
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +446,13 @@ def omega_internal(
     standard = core.internal_standard(cohort)
     before = core.smr(table, standard, core.INTERNAL)
     if shift.eta == 0.0:
-        return SensitivityReport(0.0, "zero", "eta == 0", fd_check=0.0)
+        return _unexposed("eta == 0")
 
     shifted_cohort = cohort.with_table(shift_case_mix(table, shift))
     after = core.smr_internal(shifted_cohort, hospital)
-    fd = after.smr - before.smr
 
     k, l = shift.to_stratum, shift.from_stratum
     p_hk, p_hl = table.cell(k).rate, table.cell(l).rate
-    if p_hk is None or p_hl is None:
-        raise UndefinedRateError("both shifted strata must define rates")
     mean_k, mean_l = standard[k], standard[l]
     n_k, n_l = cohort.stratum_count(k), cohort.stratum_count(l)
     n_hk, n_hl = table.count(k), table.count(l)
@@ -464,32 +467,18 @@ def omega_internal(
     ptilde_k = alpha_k * p_hk + (1.0 - alpha_k) * mean_k
     ptilde_l = alpha_l * p_hl + (1.0 - alpha_l) * mean_l
 
-    actual_diff = p_hk - p_hl
     threshold_diff = ptilde_k - ptilde_l
-    numerator = actual_diff - threshold_diff * before.smr
-    denominator = table.total_count * before.expected_rate / shift.eta + threshold_diff
-    value = numerator / denominator
-
-    sign = classify_sign(value, zero_tol)
-    rel = {"increase": ">", "zero": "==", "decrease": "<"}[sign]
-    return SensitivityReport(
-        value,
-        sign,
-        f"(p_hk - p_hl) {rel} (ptilde_k - ptilde_l) * SMR",
-        fd_check=fd,
-        details={
-            "alpha_k": alpha_k,
-            "alpha_l": alpha_l,
-            "ptilde_k": ptilde_k,
-            "ptilde_l": ptilde_l,
-            "mean_k": mean_k,
-            "mean_l": mean_l,
-            "actual_diff": actual_diff,
-            "threshold_diff": threshold_diff,
-            "smr_before": before.smr,
-            "smr_after": after.smr,
-        },
-        flags=flags,
+    details = {
+        "alpha_k": alpha_k,
+        "alpha_l": alpha_l,
+        "ptilde_k": ptilde_k,
+        "ptilde_l": ptilde_l,
+        "mean_k": mean_k,
+        "mean_l": mean_l,
+        "threshold_diff": threshold_diff,
+    }
+    return _shift_report(
+        table, shift, before, after, "ptilde_k - ptilde_l", threshold_diff, zero_tol, details, flags
     )
 
 
@@ -534,23 +523,16 @@ def delta_smr_scale_internal(
             "decrease": "below mean",
         }[classify_sign(gap, zero_tol)]
 
-    sign = classify_sign(value, zero_tol)
-    rel = {"increase": ">", "zero": "==", "decrease": "<"}[sign]
-    return SensitivityReport(
-        value,
-        sign,
-        f"pbar_e(before) {rel} pbar_e(after)",
-        fd_check=fd,
-        details={
-            "factor": change.factor,
-            "expected_before": before.expected_rate,
-            "expected_after": after.expected_rate,
-            "smr_before": before.smr,
-            "smr_after": after.smr,
-            "standard_shift_sign": directions,
-            "hospital_vs_mean": versus_mean,
-        },
-    )
+    details = {
+        "factor": change.factor,
+        "expected_before": before.expected_rate,
+        "expected_after": after.expected_rate,
+        "smr_before": before.smr,
+        "smr_after": after.smr,
+        "standard_shift_sign": directions,
+        "hospital_vs_mean": versus_mean,
+    }
+    return _report(value, zero_tol, "pbar_e(before) {} pbar_e(after)", fd, details)
 
 
 def smr_internal_scale_limit(cohort: Cohort, hospital: HospitalId) -> float:
@@ -590,7 +572,7 @@ def me_actual_internal(
     cell = table.cell(stratum) if stratum in table.cells else None
     n_hk = 0.0 if cell is None else cell.count
     if n_hk <= 0.0:
-        return SensitivityReport(0.0, "zero", "n_hk == 0", fd_check=0.0, details={"share": 0.0})
+        return _unexposed("n_hk == 0", share=0.0)
 
     before = core.smr_internal(cohort, hospital)
     share = n_hk / table.total_count
@@ -603,21 +585,14 @@ def me_actual_internal(
         return core.smr_internal(perturbed, hospital).smr
 
     fd = _central_slope(f, cell.rate)
-    sign = classify_sign(value, zero_tol)
-    rel = {"increase": "<", "zero": "==", "decrease": ">"}[sign]
-    return SensitivityReport(
-        value,
-        sign,
-        f"SMR {rel} n_k/n_hk",
-        fd_check=fd,
-        details={
-            "share": share,
-            "own_share": own_share,
-            "threshold": threshold,
-            "smr": before.smr,
-            "expected_rate": before.expected_rate,
-        },
-    )
+    details = {
+        "share": share,
+        "own_share": own_share,
+        "threshold": threshold,
+        "smr": before.smr,
+        "expected_rate": before.expected_rate,
+    }
+    return _report(value, zero_tol, "SMR {} n_k/n_hk", fd, details, rel=_FLIPPED)
 
 
 def dsmr_uniform_actual_internal(
@@ -655,11 +630,10 @@ def dsmr_uniform_actual_internal(
 
     fd = _offset_slope(g) * dp
     branch = classify_sign(1.0 - before.smr * overlap, zero_tol)
-    rel = {"increase": "<", "zero": "==", "decrease": ">"}[branch]
     return SensitivityReport(
         value,
         classify_sign(value, zero_tol),
-        f"SMR {rel} 1/overlap",
+        f"SMR {_FLIPPED[branch]} 1/overlap",
         fd_check=fd,
         details={
             "dp": dp,
@@ -693,7 +667,7 @@ def dsmr_expected_internal(
     before = core.smr(table, standard, core.INTERNAL)
     n_hk = table.count(stratum)
     if n_hk <= 0.0:
-        return SensitivityReport(0.0, "zero", "n_hk == 0", fd_check=0.0, details={"share": 0.0})
+        return _unexposed("n_hk == 0", share=0.0)
     share = n_hk / table.total_count
     value = -before.smr * share / before.expected_rate * dpe
 
@@ -702,25 +676,19 @@ def dsmr_expected_internal(
         return before.actual_rate / core.expected_rate(table, shifted)
 
     fd = _offset_slope(g) * dpe
-    sign = classify_sign(value, zero_tol)
-    condition = {
+    details = {
+        "dpe": dpe,
+        "share_factor": "n_hk/n_h",
+        "share": share,
+        "smr": before.smr,
+        "expected_rate": before.expected_rate,
+    }
+    conditions: dict[Sign, str] = {
         "increase": "dpe < 0 with n_hk > 0",
         "zero": "dpe == 0",
         "decrease": "dpe > 0 with n_hk > 0",
-    }[sign]
-    return SensitivityReport(
-        value,
-        sign,
-        condition,
-        fd_check=fd,
-        details={
-            "dpe": dpe,
-            "share_factor": "n_hk/n_h",
-            "share": share,
-            "smr": before.smr,
-            "expected_rate": before.expected_rate,
-        },
-    )
+    }
+    return _report(value, zero_tol, "{}", fd, details, rel=conditions)
 
 
 def me_cross_hospital_internal(
@@ -753,10 +721,7 @@ def me_cross_hospital_internal(
 
     if n_ik <= 0.0 or n_hk <= 0.0:
         which = "n_ik == 0" if n_ik <= 0.0 else "n_hk == 0"
-        return SensitivityReport(
-            0.0, "zero", which, fd_check=0.0,
-            details={"standard_derivative": standard_derivative},
-        )
+        return _unexposed(which, standard_derivative=standard_derivative)
 
     before = core.smr_internal(cohort, hospital)
     share = n_hk / table.total_count
@@ -767,18 +732,13 @@ def me_cross_hospital_internal(
         return core.smr_internal(perturbed, hospital).smr
 
     fd = _central_slope(f, other_table.cell(stratum).rate)
-    return SensitivityReport(
-        value,
-        classify_sign(value, zero_tol),
-        "n_ik > 0 and n_hk > 0",
-        fd_check=fd,
-        details={
-            "standard_derivative": standard_derivative,
-            "share": share,
-            "smr": before.smr,
-            "expected_rate": before.expected_rate,
-        },
-    )
+    details = {
+        "standard_derivative": standard_derivative,
+        "share": share,
+        "smr": before.smr,
+        "expected_rate": before.expected_rate,
+    }
+    return _report(value, zero_tol, "n_ik > 0 and n_hk > 0", fd, details)
 
 
 def standard_shift_add_patients(
@@ -820,9 +780,7 @@ def _add_patients(
     table = cohort.table(hospital)
     grown = cohort.with_table(with_cell(table, stratum, table.count(stratum) + eta, table.rate(stratum)))
     fd = core.internal_standard(grown)[stratum] - core.internal_standard(cohort)[stratum]
-    return SensitivityReport(
-        value, classify_sign(value, zero_tol), "p_ik vs stratum mean", fd_check=fd, details={"eta": eta}
-    )
+    return _report(value, zero_tol, "p_ik vs stratum mean", fd, {"eta": eta})
 
 
 @dataclass(frozen=True)
