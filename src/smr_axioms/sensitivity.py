@@ -10,13 +10,15 @@ closed-form value with
   derivative-style operations,
 * diagnostic details (shares, thresholds, endogenous benchmark weights).
 
-Every report is built by one skeleton, ``_report``: it classifies the
-sign of the value and fills the ``{}`` of the condition with the
-relation of that sign (``>``, ``==``, ``<``, or reversed for conditions
-that put the SMR below a threshold). A run that does not touch the
-hospital (``eta == 0``, ``n_hk == 0``, ``n_ik == 0``) gets the exact-zero
-report of ``_unexposed``. Both schemes' case-mix shifts share one
-closed form; only the benchmark-side rate difference differs.
+Reports are built by one skeleton, ``_report``: it classifies the sign
+of the value and fills the ``{}`` of the condition with the relation of
+that sign (``>``, ``==``, ``<``, or reversed for conditions that put the
+SMR below a threshold). Only ``dsmr_uniform_actual_internal`` builds its
+own, since its condition follows the sign of ``1 - SMR * overlap``, not
+of the value. A run that does not touch the hospital (``eta == 0``,
+``n_hk == 0``, ``n_ik == 0``) gets the exact-zero report of
+``_unexposed``. Both schemes' case-mix shifts share one closed form;
+only the benchmark-side rate difference differs.
 
 Discrete changes (case-mix shifts, hospital scaling, added patients)
 obey exact algebraic identities: the closed form and the recomputation

@@ -1,8 +1,9 @@
 """Byte-for-byte regression against committed CLI outputs.
 
 Each file in ``tests/golden/`` is the JSON, CSV or pretty (``.txt``,
-without ANSI styling) stdout of one CLI run on seeded inputs. A refactor that claims "same outputs" must leave every
-file unchanged. To regenerate them after an intended output change, run
+without ANSI styling) stdout of one CLI run on seeded inputs. A
+refactor that claims "same outputs" must leave every file unchanged. To
+regenerate them after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root
 and review the diff.
 """
