@@ -52,9 +52,13 @@ CASES = {
         "scenario", "--name", "actual-int", "--override", "w11=1.0", "--check-claims",
     ],
     "audit_seed0_trials200.txt": ["audit", "--seed", "0", "--trials", "200", "--format", "pretty"],
+    "audit_seed0_trials200.csv": ["audit", "--seed", "0", "--trials", "200", "--format", "csv"],
     "scenario_expected_ext.csv": ["scenario", "--name", "expected-ext", "--check-claims", "--format", "csv"],
     "scenario_expected_ext.txt": ["scenario", "--name", "expected-ext", "--check-claims", "--format", "pretty"],
 }
+for fmt, suffix in (("csv", "csv"), ("pretty", "txt")):
+    for scheme in ("internal", "external"):
+        CASES[f"compute_{scheme}.{suffix}"] = [*CASES[f"compute_{scheme}.json"], "--format", fmt]
 
 #: The 13 valid (analysis, scheme) pairs of ``sensitivity`` and their options on the golden cohort.
 SENSITIVITY_RUNS = {
