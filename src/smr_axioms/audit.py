@@ -20,23 +20,27 @@ configurations known to break each measure) followed by seeded random
 probes, and reports the first counterexample as a replayable witness.
 "Holds" always means "no violation found in N trials", never a proof.
 
-Each requirement is one row of a table (name, check, hand-built probes
-per scheme, :class:`ProbeGenerator` method) that ``AXIOMS``,
-:func:`mandatory_probes` and :meth:`ProbeGenerator.stream` read.
-Monotonicity, case mix and scale share a perturbation driver: each probe
-type perturbs one hospital and describes the move. Equivalence and
-dominance share a pair driver that admits a pair once its relation holds.
+Each requirement is one row of a table (name, check,
+:class:`ProbeGenerator` method) that ``AXIOMS`` and
+:meth:`ProbeGenerator.stream` read. A second table, the only place that
+pairs a scheme with probes, maps each (requirement, scheme) to its
+hand-built probes; the audit runs them first, so a measure whose scheme
+is neither ``external`` nor ``internal`` is refused, never audited
+against the wrong probes. Monotonicity, case mix and scale share a
+perturbation driver: each probe type perturbs one hospital and describes
+the move. Equivalence and dominance share a pair driver that admits a
+pair once its relation holds.
 
-Violation comparisons use ``EXACT_TOL`` (1e-12) for the insensitivity
-and monotonicity checks and ``DERIVED_TOL`` (1e-9) for pair equality; a
-dominance tie counts as a violation because the requirement demands a
-strictly better rank.
+The tolerances are fixed: violation comparisons use ``EXACT_TOL``
+(1e-12) for the insensitivity and monotonicity checks and
+``DERIVED_TOL`` (1e-9) for pair equality; a dominance tie counts as a
+violation because the requirement demands a strictly better rank.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
 
@@ -247,7 +251,7 @@ class AuditMatrix:
 def replay(measure: Measure, witness: Witness) -> tuple[float, float]:
     """Re-evaluate a witness's two comparisons from its stored inputs."""
     before = measure.evaluate(witness.world, witness.hospital)
-    if witness.axiom in ("equivalence", "dominance"):
+    if witness.perturbed_world is None:
         after = measure.evaluate(witness.world, witness.hospital_b)
     else:
         after = measure.evaluate(witness.perturbed_world, witness.hospital)
@@ -262,9 +266,7 @@ def replay(measure: Measure, witness: Witness) -> tuple[float, float]:
 def _verdict(axiom: str, probes_run: int, witness: Witness | None) -> AxiomVerdict:
     if probes_run == 0:
         raise EmptyProbeSetError(f"no probes supplied for {axiom}")
-    if witness is None:
-        return AxiomVerdict(axiom, "holds", probes_run)
-    return AxiomVerdict(axiom, "violated", probes_run, witness)
+    return AxiomVerdict(axiom, "holds" if witness is None else "violated", probes_run, witness)
 
 
 def _check_perturbations(
@@ -311,29 +313,23 @@ def _check_pairs(
     return _verdict(axiom, ran, None)
 
 
-def check_strict_monotonicity(
-    measure: Measure, probes: Iterable[MonotonicityProbe], tol: float = core.EXACT_TOL
-) -> AxiomVerdict:
+def check_strict_monotonicity(measure: Measure, probes: Iterable[MonotonicityProbe]) -> AxiomVerdict:
     """Perturb one treated stratum's rate upward; demand a strict increase."""
-    return _check_perturbations("strict_monotonicity", measure, probes, lambda moved: moved <= tol)
+    return _check_perturbations("strict_monotonicity", measure, probes, lambda moved: moved <= core.EXACT_TOL)
 
 
-def check_case_mix_insensitivity(
-    measure: Measure, probes: Iterable[CaseMixProbe], tol: float = core.EXACT_TOL
-) -> AxiomVerdict:
+def _moved(moved: float) -> bool:
+    return abs(moved) > core.EXACT_TOL
+
+
+def check_case_mix_insensitivity(measure: Measure, probes: Iterable[CaseMixProbe]) -> AxiomVerdict:
     """Shift patients between strata; demand the measure stays put."""
-    return _check_perturbations(
-        "case_mix_insensitivity", measure, probes, lambda moved: abs(moved) > tol
-    )
+    return _check_perturbations("case_mix_insensitivity", measure, probes, _moved)
 
 
-def check_scale_insensitivity(
-    measure: Measure, probes: Iterable[ScaleProbe], tol: float = core.EXACT_TOL
-) -> AxiomVerdict:
+def check_scale_insensitivity(measure: Measure, probes: Iterable[ScaleProbe]) -> AxiomVerdict:
     """Rescale one hospital; demand the measure stays put."""
-    return _check_perturbations(
-        "scale_insensitivity", measure, probes, lambda moved: abs(moved) > tol
-    )
+    return _check_perturbations("scale_insensitivity", measure, probes, _moved)
 
 
 def _deviations(
@@ -372,12 +368,10 @@ def _admit_equivalent(probe: PairProbe) -> str:
     return probe.relation
 
 
-def check_equivalence(
-    measure: Measure, probes: Iterable[PairProbe], tol: float = core.DERIVED_TOL
-) -> AxiomVerdict:
+def check_equivalence(measure: Measure, probes: Iterable[PairProbe]) -> AxiomVerdict:
     """Hospitals with identical rates or identical deviations must score equal."""
     return _check_pairs("equivalence", measure, probes, _admit_equivalent,
-                        lambda va, vb: abs(va - vb) > tol,
+                        lambda va, vb: abs(va - vb) > core.DERIVED_TOL,
                         "{relation} pair scored {va!r} vs {vb!r}")
 
 
@@ -426,59 +420,45 @@ def _world(name: str, at: float, overrides: Mapping[str, float] | None = None) -
     return scenarios.build_scenario(scenarios.ScenarioSpec(name, (at,), overrides or {}), at)
 
 
-def _monotonicity_probes(scheme: Scheme) -> list[MonotonicityProbe]:
-    if scheme == "internal":
-        return [MonotonicityProbe(_world("actual-int", 0.5, {"w11": 0.8}), "H1", "1", 1e-3)]
-    return [MonotonicityProbe(_world("actual-ext", 0.1), "H1", "1", 1e-3)]
+def _internal_equivalence_probes() -> list[PairProbe]:
+    """The external pairs judged against the endogenous benchmark, then twins with identical rates."""
+    probes = [replace(p, world=World(p.world.cohort)) for p in _MANDATORY["equivalence", "external"]()]
+    twin = Cohort.build({"A": {"1": (10.0, 0.1), "2": (90.0, 0.3)},
+                         "B": {"1": (90.0, 0.1), "2": (10.0, 0.3)},
+                         "C": {"1": (50.0, 0.2), "2": (50.0, 0.2)}})
+    return probes + [PairProbe(World(twin), "A", "B", "identical-rates")]
 
 
-def _case_mix_probes(scheme: Scheme) -> list[CaseMixProbe]:
-    if scheme == "internal":
-        return [CaseMixProbe(_world("casemix-int", 0.0), "H1", CaseMixShift("1", "2", 10.0))]
-    return [CaseMixProbe(_world("casemix-ext", 0.0), "H1", CaseMixShift("1", "2", 5.0))]
+def _internal_dominance_probes() -> list[PairProbe]:
+    world = _world("actual-int", 1.0, {"w11": 1.0})
+    h3 = world.cohort.table("H3")
+    # H3 treats nobody in stratum 1; a supplied rate (tied with H1's
+    # 1.0) makes the pair comparable without touching any ratio.
+    patched = world.cohort.with_table(with_cell(h3, "1", 0.0, 1.0))
+    return [PairProbe(World(patched), "H3", "H1", "dominates")]
 
 
-def _scale_probes(scheme: Scheme) -> list[ScaleProbe]:
-    if scheme == "internal":
-        return [ScaleProbe(_world("scale-int", 1.0), "H1", 2.0)]
-    return [ScaleProbe(_world("scale-ext", 1.0), "H1", factor) for factor in (2.0, 3.0, 4.0, 5.0)]
-
-
-def _equivalence_probes(scheme: Scheme) -> list[PairProbe]:
-    # For an internal-scheme measure the standard is dropped so the
-    # deviation relation is verified against the endogenous benchmark.
-    def pair_world(p: float) -> World:
-        w = _world("actual-ext", p)
-        return World(w.cohort) if scheme == "internal" else w
-
-    probes = [
-        PairProbe(pair_world(p), "H1", "H2", "identical-deviations")
-        for p in (0.05, 0.075, 0.1, 0.125, 0.15)
-    ]
-    if scheme == "internal":
-        twin = Cohort.build(
-            {
-                "A": {"1": (10.0, 0.1), "2": (90.0, 0.3)},
-                "B": {"1": (90.0, 0.1), "2": (10.0, 0.3)},
-                "C": {"1": (50.0, 0.2), "2": (50.0, 0.2)},
-            }
-        )
-        probes.append(PairProbe(World(twin), "A", "B", "identical-rates"))
-    return probes
-
-
-def _dominance_probes(scheme: Scheme) -> list[PairProbe]:
-    if scheme == "internal":
-        world = _world("actual-int", 1.0, {"w11": 1.0})
-        h3 = world.cohort.table("H3")
-        # H3 treats nobody in stratum 1; a supplied rate (tied with H1's
-        # 1.0) makes the pair comparable without touching any ratio.
-        patched = world.cohort.with_table(with_cell(h3, "1", 0.0, 1.0))
-        return [PairProbe(World(patched), "H3", "H1", "dominates")]
-    return [
-        PairProbe(_world("expected-ext", p), "H2", "H1", "dominates")
-        for p in (0.2, 0.25, 0.3)
-    ]
+#: (axiom, scheme) -> builder of its hand-built probes, called once per audited cell.
+_MANDATORY: dict[tuple[str, Scheme], Callable[[], list]] = {
+    ("strict_monotonicity", "external"): lambda: [
+        MonotonicityProbe(_world("actual-ext", 0.1), "H1", "1", 1e-3)],
+    ("strict_monotonicity", "internal"): lambda: [
+        MonotonicityProbe(_world("actual-int", 0.5, {"w11": 0.8}), "H1", "1", 1e-3)],
+    ("case_mix_insensitivity", "external"): lambda: [
+        CaseMixProbe(_world("casemix-ext", 0.0), "H1", CaseMixShift("1", "2", 5.0))],
+    ("case_mix_insensitivity", "internal"): lambda: [
+        CaseMixProbe(_world("casemix-int", 0.0), "H1", CaseMixShift("1", "2", 10.0))],
+    ("scale_insensitivity", "external"): lambda: [
+        ScaleProbe(_world("scale-ext", 1.0), "H1", factor) for factor in (2.0, 3.0, 4.0, 5.0)],
+    ("scale_insensitivity", "internal"): lambda: [ScaleProbe(_world("scale-int", 1.0), "H1", 2.0)],
+    ("equivalence", "external"): lambda: [
+        PairProbe(_world("actual-ext", p), "H1", "H2", "identical-deviations")
+        for p in (0.05, 0.075, 0.1, 0.125, 0.15)],
+    ("equivalence", "internal"): _internal_equivalence_probes,
+    ("dominance", "external"): lambda: [
+        PairProbe(_world("expected-ext", p), "H2", "H1", "dominates") for p in (0.2, 0.25, 0.3)],
+    ("dominance", "internal"): _internal_dominance_probes,
+}
 
 
 class ProbeGenerator:
@@ -507,33 +487,31 @@ class ProbeGenerator:
     def _standard(self, strata: Sequence[str]) -> ExternalStandard:
         return ExternalStandard({sid: self._rate() for sid in strata})
 
-    def _single_world(self, scheme: Scheme, strata: Sequence[str]) -> tuple[World, str]:
+    def _single_world(self, scheme: Scheme, strata: Sequence[str]) -> World:
+        """The probed hospital ``A``: alone with a standard, or with one or two peers if internal."""
         if scheme == "internal":
-            cohort = Cohort(
-                tuple(self._table(h, strata) for h in ("A", "B", "C")[: self._rng.randint(2, 3)])
-            )
-            return World(cohort), "A"
-        cohort = Cohort((self._table("A", strata),))
-        return World(cohort, self._standard(strata)), "A"
+            hospitals = ("A", "B", "C")[: self._rng.randint(2, 3)]
+            return World(Cohort(tuple(self._table(h, strata) for h in hospitals)))
+        return World(Cohort((self._table("A", strata),)), self._standard(strata))
 
     def monotonicity(self, scheme: Scheme) -> Iterator[MonotonicityProbe]:
         while True:
             strata = self._strata()
-            world, hospital = self._single_world(scheme, strata)
-            yield MonotonicityProbe(world, hospital, self._rng.choice(strata), 1e-3)
+            world = self._single_world(scheme, strata)
+            yield MonotonicityProbe(world, "A", self._rng.choice(strata), 1e-3)
 
     def case_mix(self, scheme: Scheme) -> Iterator[CaseMixProbe]:
         while True:
             strata = self._strata()
-            world, hospital = self._single_world(scheme, strata)
+            world = self._single_world(scheme, strata)
             donor, receiver = self._rng.sample(strata, 2)
-            eta = world.cohort.table(hospital).count(donor) * self._rng.uniform(0.1, 0.9)
-            yield CaseMixProbe(world, hospital, CaseMixShift(donor, receiver, eta))
+            eta = world.cohort.table("A").count(donor) * self._rng.uniform(0.1, 0.9)
+            yield CaseMixProbe(world, "A", CaseMixShift(donor, receiver, eta))
 
     def scale(self, scheme: Scheme) -> Iterator[ScaleProbe]:
         while True:
-            world, hospital = self._single_world(scheme, self._strata())
-            yield ScaleProbe(world, hospital, 10.0 ** self._rng.uniform(-0.6, 0.6))
+            world = self._single_world(scheme, self._strata())
+            yield ScaleProbe(world, "A", 10.0 ** self._rng.uniform(-0.6, 0.6))
 
     def equivalence(self, scheme: Scheme) -> Iterator[PairProbe]:
         while True:
@@ -579,25 +557,21 @@ class ProbeGenerator:
 
 @dataclass(frozen=True)
 class _Axiom:
-    """One requirement; ``check`` holds its tolerance as the ``tol`` default."""
+    """One requirement: its name, its check and its random probe stream."""
 
     name: str
     check: Callable[[Measure, Iterable], AxiomVerdict]
-    mandatory: Callable[[Scheme], list]
     generate: Callable[[ProbeGenerator, Scheme], Iterator]
 
 
 _ROWS = {
     row.name: row
     for row in (
-        _Axiom("strict_monotonicity", check_strict_monotonicity, _monotonicity_probes,
-               ProbeGenerator.monotonicity),
-        _Axiom("case_mix_insensitivity", check_case_mix_insensitivity, _case_mix_probes,
-               ProbeGenerator.case_mix),
-        _Axiom("scale_insensitivity", check_scale_insensitivity, _scale_probes,
-               ProbeGenerator.scale),
-        _Axiom("equivalence", check_equivalence, _equivalence_probes, ProbeGenerator.equivalence),
-        _Axiom("dominance", check_dominance, _dominance_probes, ProbeGenerator.dominance),
+        _Axiom("strict_monotonicity", check_strict_monotonicity, ProbeGenerator.monotonicity),
+        _Axiom("case_mix_insensitivity", check_case_mix_insensitivity, ProbeGenerator.case_mix),
+        _Axiom("scale_insensitivity", check_scale_insensitivity, ProbeGenerator.scale),
+        _Axiom("equivalence", check_equivalence, ProbeGenerator.equivalence),
+        _Axiom("dominance", check_dominance, ProbeGenerator.dominance),
     )
 }
 
@@ -609,11 +583,12 @@ def mandatory_probes(axiom: str, scheme: Scheme) -> list:
 
     These guarantee that the known counterexamples are found before any
     random probing starts, so the audit's verdict on the two ratio
-    measures never depends on the seed.
+    measures never depends on the seed. An unknown axiom or scheme is refused.
     """
-    if axiom not in _ROWS:
-        raise InvalidParameterError(f"unknown axiom {axiom!r}")
-    return _ROWS[axiom].mandatory(scheme)
+    build = _MANDATORY.get((axiom, scheme))
+    if build is None:
+        raise InvalidParameterError(f"no probes for axiom {axiom!r} under scheme {scheme!r}")
+    return build()
 
 
 def _cell_seed(seed: int, measure: str, axiom: str) -> int:

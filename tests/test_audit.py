@@ -16,6 +16,7 @@ from smr_axioms import (
     run_audit,
 )
 from smr_axioms.audit import (
+    Measure,
     MonotonicityProbe,
     PairProbe,
     ProbeGenerator,
@@ -27,7 +28,7 @@ from smr_axioms.audit import (
     check_strict_monotonicity,
     mandatory_probes,
 )
-from smr_axioms.errors import EmptyProbeSetError, IncomparableProbeError
+from smr_axioms.errors import EmptyProbeSetError, IncomparableProbeError, InvalidParameterError
 from smr_axioms.report import (
     dumps,
     matrix_payload,
@@ -229,6 +230,22 @@ class TestMandatoryProbes:
         dominant = witness.world.cohort.table(witness.hospital)
         assert dominant.count("1") == 0.0
         assert dominant.rate("1") == 1.0
+
+    @pytest.mark.parametrize("axiom, scheme", [("dominance", "bogus"), ("dominance", "Internal"),
+                                               ("monotonicity", "external")])
+    def test_unknown_axiom_or_scheme_is_refused(self, axiom, scheme):
+        with pytest.raises(InvalidParameterError, match=f"{axiom!r} under scheme {scheme!r}"):
+            mandatory_probes(axiom, scheme)
+
+    def test_measure_with_unknown_scheme_is_refused_not_audited_as_external(self):
+        typo = Measure("typo", "Internal", REGISTRY["smr-internal"].evaluate)
+        with pytest.raises(InvalidParameterError, match="'Internal'"):
+            run_audit([typo], trials=5)
+
+    def test_every_axiom_and_scheme_has_hand_built_probes(self):
+        for axiom in AXIOMS:
+            for scheme in ("external", "internal"):
+                assert mandatory_probes(axiom, scheme)
 
 
 class TestProbeGenerator:
