@@ -22,14 +22,14 @@ probes, and reports the first counterexample as a replayable witness.
 
 Each requirement is one row of a table (name, check,
 :class:`ProbeGenerator` method) that ``AXIOMS`` and
-:meth:`ProbeGenerator.stream` read. A second table, the only place that
-pairs a scheme with probes, maps each (requirement, scheme) to its
-hand-built probes; the audit runs them first, so a measure whose scheme
-is neither ``external`` nor ``internal`` is refused, never audited
-against the wrong probes. Monotonicity, case mix and scale share a
-perturbation driver: each probe type perturbs one hospital and describes
-the move. Equivalence and dominance share a pair driver that admits a
-pair once its relation holds.
+:meth:`ProbeGenerator.stream` read. A second table maps each
+(requirement, scheme) to the builder of its hand-built probes, and
+:func:`mandatory_probes` refuses a pair it does not hold. The audit runs
+those probes first, so a measure whose scheme is neither ``external``
+nor ``internal`` is refused, never audited against the wrong probes.
+Monotonicity, case mix and scale share a perturbation driver: each probe
+type perturbs one hospital and describes the move. Equivalence and
+dominance share a pair driver that admits a pair once its relation holds.
 
 The tolerances are fixed: violation comparisons use ``EXACT_TOL``
 (1e-12) for the insensitivity and monotonicity checks and

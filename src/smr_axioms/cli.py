@@ -19,7 +19,7 @@ from math import isfinite
 from typing import Sequence
 
 from . import core, report
-from .csvio import format_number, ingest
+from .csvio import format_number, ingest, write_rows
 from .errors import SmrError
 
 def _styled(text: str, code: str) -> str:
@@ -161,15 +161,8 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if args.format == "json":
         _emit(report.dumps(payload), args.out)
     elif args.format == "csv":
-        lines = ["hospital_id,actual_rate,expected_rate,smr"]
-        lines += [
-            ",".join(
-                [r["hospital_id"]]
-                + [format_number(r[k]) for k in ("actual_rate", "expected_rate", "smr")]
-            )
-            for r in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        header = ["hospital_id", "actual_rate", "expected_rate", "smr"]
+        _emit(write_rows([header, *([r[k] for k in header] for r in rows)]), args.out)
     else:
         table = [
             [r["hospital_id"], f"{r['actual_rate']:.4f}", f"{r['expected_rate']:.4f}", _smr_pretty(r["smr"])]
@@ -224,15 +217,14 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         flat = report.sensitivity_payload(result)
         details = flat.pop("details")
         flat.pop("flags")
-        fields = list(flat.items())
+        fields = [("field", "value"), *flat.items()]
         for key in sorted(details, key=str):
             value = details[key]
             if isinstance(value, dict):
                 fields += [(f"details.{key}.{sub}", value[sub]) for sub in sorted(value, key=str)]
             else:
                 fields.append((f"details.{key}", value))
-        lines = ["field,value"] + [f"{k},{format_number(v) if isinstance(v, float) else v}" for k, v in fields]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(write_rows(fields), args.out)
     else:
         sign_color = {"increase": "31", "decrease": "32", "zero": "2"}[result.sign]
         rows = [
@@ -269,22 +261,14 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         results["expected_matrix_ok"] = ok
         failed = not ok
     payload = report.make_report("audit", inputs, results)
+    cells = [(row.measure, v.axiom, v.status, v.trials) for row in matrix.rows for v in row.verdicts]
     if args.format == "json":
         _emit(report.dumps(payload), args.out)
     elif args.format == "csv":
-        lines = ["measure,axiom,status,trials"]
-        for row in matrix.rows:
-            for verdict in row.verdicts:
-                lines.append(f"{row.measure},{verdict.axiom},{verdict.status},{verdict.trials}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(write_rows([("measure", "axiom", "status", "trials"), *cells]), args.out)
     else:
-        rows = []
-        for row in matrix.rows:
-            for verdict in row.verdicts:
-                status = (
-                    _styled("holds", "32") if verdict.status == "holds" else _styled("violated", "31")
-                )
-                rows.append([row.measure, verdict.axiom, status, str(verdict.trials)])
+        color = {"holds": "32", "violated": "31"}
+        rows = [[m, axiom, _styled(status, color[status]), str(n)] for m, axiom, status, n in cells]
         _emit(_table_text(["measure", "requirement", "status", "trials"], rows), args.out)
     if failed:
         print("audit: built-in matrix differs from the expected pattern", file=sys.stderr)

@@ -7,8 +7,10 @@ Interchange schemas (UTF-8, comma-delimited, ``.`` decimal separator):
   ``patients`` is 0;
 * standard file, header ``stratum_id,expected_rate``.
 
-Numbers are emitted with 17 significant digits, so
-``ingest(emit(cohort)) == cohort`` bit-for-bit. All ingestion failures
+Every CSV output of the package, these files and the command line's
+tables alike, goes through :func:`write_rows`: numbers with 17
+significant digits, so ``ingest(emit(cohort)) == cohort`` bit-for-bit,
+and an id holding a comma or a quote is quoted. All ingestion failures
 carry the 1-based row number of the offending line.
 """
 
@@ -18,7 +20,7 @@ import csv
 import io
 from math import isfinite
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import Cohort, ExternalStandard, StratumCell, StratumTable
 from .errors import ParseError, ValidationError
@@ -115,25 +117,19 @@ def ingest(
     return cohort, standard
 
 
-def _write_rows(rows: Iterable[list[str]]) -> str:
+def write_rows(rows: Iterable[Sequence[object]]) -> str:
+    """CSV text: floats through :func:`format_number`, ``None`` as an empty field, quoting as needed."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
+    writer.writerows([format_number(v) if isinstance(v, float) else v for v in row] for row in rows)
     return buffer.getvalue()
 
 
 def emit_hospitals(cohort: Cohort) -> str:
     """Serialize a cohort; iteration order is preserved for round-trips."""
-    rows: list[list[str]] = [HOSPITALS_HEADER]
-    for table in cohort.hospitals:
-        for stratum, cell in table.cells.items():
-            rate = "" if cell.rate is None else format_number(cell.rate)
-            rows.append([str(table.hospital), str(stratum), format_number(cell.count), rate])
-    return _write_rows(rows)
+    rows = ([t.hospital, sid, c.count, c.rate] for t in cohort.hospitals for sid, c in t.cells.items())
+    return write_rows([HOSPITALS_HEADER, *rows])
 
 
 def emit_standard(standard: ExternalStandard) -> str:
-    rows: list[list[str]] = [STANDARD_HEADER]
-    for stratum, rate in standard.rates.items():
-        rows.append([str(stratum), format_number(rate)])
-    return _write_rows(rows)
+    return write_rows([STANDARD_HEADER, *standard.rates.items()])

@@ -24,7 +24,7 @@ from math import isfinite
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .core import Cohort, ExternalStandard, StratumCell, StratumTable, World, _as_float
-from .csvio import format_number
+from .csvio import write_rows
 from .errors import InvalidParameterError
 
 if TYPE_CHECKING:
@@ -253,8 +253,5 @@ def sweep_payload(series: scenarios.SweepSeries) -> dict:
 
 def sweep_csv(series: scenarios.SweepSeries) -> str:
     hospitals = list(series.series)
-    lines = [",".join([series.spec.parameter] + [str(h) for h in hospitals])]
-    for i, x in enumerate(series.values):
-        row = [format_number(x)] + [format_number(series.series[h][i]) for h in hospitals]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = [[x, *(series.series[h][i] for h in hospitals)] for i, x in enumerate(series.values)]
+    return write_rows([[series.spec.parameter, *hospitals], *rows])

@@ -13,9 +13,10 @@ closed-form value with
 Reports are built by one skeleton, ``_report``: it classifies the sign
 of the value and fills the ``{}`` of the condition with the relation of
 that sign (``>``, ``==``, ``<``, or reversed for conditions that put the
-SMR below a threshold). Only ``dsmr_uniform_actual_internal`` builds its
-own, since its condition follows the sign of ``1 - SMR * overlap``, not
-of the value. A run that does not touch the hospital (``eta == 0``,
+SMR below a threshold). Only ``dsmr_uniform_actual_internal`` and
+``dsmr_expected_internal`` build their own, since their conditions
+follow the sign of ``1 - SMR * overlap`` and of ``dpe``, not of the
+value. A run that does not touch the hospital (``eta == 0``,
 ``n_hk == 0``, ``n_ik == 0``) gets the exact-zero report of
 ``_unexposed``. Both schemes' case-mix shifts share one closed form;
 only the benchmark-side rate difference differs.
@@ -449,6 +450,8 @@ def omega_internal(
     before = core.smr(table, standard, core.INTERNAL)
     if shift.eta == 0.0:
         return _unexposed("eta == 0")
+    if cohort.stratum_count(shift.to_stratum) <= 0.0:
+        raise UnknownStratumError(f"stratum {shift.to_stratum!r} has no patients cohort-wide")
 
     shifted_cohort = cohort.with_table(shift_case_mix(table, shift))
     after = core.smr_internal(shifted_cohort, hospital)
@@ -685,12 +688,9 @@ def dsmr_expected_internal(
         "smr": before.smr,
         "expected_rate": before.expected_rate,
     }
-    conditions: dict[Sign, str] = {
-        "increase": "dpe < 0 with n_hk > 0",
-        "zero": "dpe == 0",
-        "decrease": "dpe > 0 with n_hk > 0",
-    }
-    return _report(value, zero_tol, "{}", fd, details, rel=conditions)
+    # The condition is the exact relation of dpe to 0; only the sign sees zero_tol.
+    condition = "dpe == 0" if dpe == 0.0 else f"dpe {_REL[classify_sign(dpe, 0.0)]} 0 with n_hk > 0"
+    return SensitivityReport(value, classify_sign(value, zero_tol), condition, fd, details)
 
 
 def me_cross_hospital_internal(

@@ -242,11 +242,6 @@ class TestMandatoryProbes:
         with pytest.raises(InvalidParameterError, match="'Internal'"):
             run_audit([typo], trials=5)
 
-    def test_every_axiom_and_scheme_has_hand_built_probes(self):
-        for axiom in AXIOMS:
-            for scheme in ("external", "internal"):
-                assert mandatory_probes(axiom, scheme)
-
 
 class TestProbeGenerator:
     def test_streams_are_reproducible(self):

@@ -1,5 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism, round-trips."""
 
+import csv
+import io
 import json
 from random import Random
 
@@ -29,6 +31,13 @@ H1,1,40,0.1
 H1,2,10,0.3
 H2,1,25,0.1
 H2,2,10,0.1
+"""
+
+COMMA_ID_CSV = """hospital_id,stratum_id,patients,mortality_rate
+"H,1",1,10,0.2
+"H,1",2,10,0.8
+H2,1,10,0.1
+H2,2,10,0.5
 """
 
 DOMINANT_SHARE_CSV = """hospital_id,stratum_id,patients,mortality_rate
@@ -101,6 +110,17 @@ class TestCompute:
         header, row = out.strip().splitlines()
         assert header == "hospital_id,actual_rate,expected_rate,smr"
         assert row.startswith("H1,")
+
+    def test_csv_quotes_an_id_holding_a_comma(self, tmp_path, capsys):
+        hospitals = tmp_path / "h.csv"
+        hospitals.write_text(COMMA_ID_CSV)
+        code = main(["compute", "--hospitals", str(hospitals), "--scheme", "internal", "--format", "csv"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [len(row) for row in rows] == [4, 4, 4]
+        assert [row[0] for row in rows] == ["hospital_id", "H,1", "H2"]
+        assert out.splitlines()[1].startswith('"H,1",0.5,')
 
     def test_external_needs_standard(self, table2):
         hospitals, _ = table2
@@ -291,6 +311,18 @@ class TestSensitivityCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+
+    def test_internal_shift_into_a_stratum_nobody_treats_is_data_error(self, tmp_path, capsys):
+        hospitals = tmp_path / "h.csv"
+        hospitals.write_text("hospital_id,stratum_id,patients,mortality_rate\n"
+                             "H1,1,10,0.2\nH1,2,0,0.3\nH2,1,10,0.1\n")
+        code = main(["sensitivity", "--hospitals", str(hospitals), "--scheme", "internal",
+                     "--analysis", "shift", "--hospital", "H1", "--from-stratum", "1",
+                     "--to-stratum", "2", "--eta", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: stratum '2' has no patients cohort-wide\n"
 
     def test_overdraw_is_data_error(self, table2, capsys):
         hospitals, standard = table2

@@ -40,6 +40,7 @@ from smr_axioms.errors import (
     SameHospitalError,
     ShiftExceedsStratumError,
     UndefinedRateError,
+    UnknownStratumError,
     ZeroExpectedRateError,
 )
 from smr_axioms.scenarios import ScenarioSpec, build_scenario
@@ -330,6 +331,11 @@ class TestOmegaInternal:
         assert "degenerate-donor-weight" in report.flags
         assert report.fd_check == pytest.approx(report.value, abs=EXACT_TOL)
 
+    def test_receiving_stratum_without_patients_cohort_wide_is_refused(self):
+        cohort = Cohort.build({"H1": {"1": (10.0, 0.2), "2": (0.0, 0.3)}, "H2": {"1": (10.0, 0.1)}})
+        with pytest.raises(UnknownStratumError, match="stratum '2' has no patients cohort-wide"):
+            omega_internal(cohort, "H1", CaseMixShift("1", "2", 5.0))
+
 
 class TestScaleInternal:
     def test_worked_cohort_decline(self):
@@ -454,6 +460,13 @@ class TestExpectedAndCrossInternal:
         assert report.sign == "decrease"
         assert report.details["share_factor"] == "n_hk/n_h"
         assert agrees(report)
+
+    @pytest.mark.parametrize("dpe, condition", [(0.01, "dpe > 0 with n_hk > 0"),
+                                                (-0.01, "dpe < 0 with n_hk > 0"), (0.0, "dpe == 0")])
+    def test_condition_follows_dpe_not_the_zero_band(self, dpe, condition):
+        world = actual_int_world(0.5, 0.8)
+        report = dsmr_expected_internal(world.cohort, "H1", "1", dpe, zero_tol=10.0)
+        assert report.sign == "zero" and report.condition == condition
 
     def test_chains_to_cross_hospital_effect(self):
         world = actual_int_world(0.5, 0.8)
