@@ -547,6 +547,9 @@ class ProbeGenerator:
             yield PairProbe(World(Cohort((a, b)), standard), "A", "B", "dominates")
 
     def stream(self, axiom: str, scheme: Scheme) -> Iterator:
+        """Endless random probes of one requirement; an unknown axiom or scheme is refused."""
+        if (axiom, scheme) not in _MANDATORY:
+            raise InvalidParameterError(f"no probes for axiom {axiom!r} under scheme {scheme!r}")
         return _ROWS[axiom].generate(self, scheme)
 
 

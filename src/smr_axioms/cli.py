@@ -153,7 +153,7 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         for r in results
     ]
     inputs = {
-        "hospitals": report.cohort_payload(cohort),
+        "hospitals": cohort,  # written from its cells, the bytes of report.cohort_payload(cohort)
         "standard": report.standard_payload(standard),
         "scheme": args.scheme,
     }
@@ -197,7 +197,7 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     if not agrees:
         warnings.append(f"cross-check residual {residual:.3g} exceeds its {row.check} bound {bound:.3g}")
     inputs = {
-        "hospitals": report.cohort_payload(cohort),
+        "hospitals": cohort,
         "standard": report.standard_payload(standard),
         "scheme": args.scheme,
         "analysis": args.analysis,

@@ -11,6 +11,9 @@ binary64) and sorts keys, so identical inputs produce byte-identical
 output. The digest is a content hash of the canonicalized inputs, never
 of file paths: the sha256 of their compact ``dumps`` text, hashed in
 pieces as the writer produces it, so that text is never held whole.
+A ``Cohort`` inside a payload is written straight from its cells, with
+no payload copy; its bytes are exactly those of ``cohort_payload``, so
+``compute`` and ``sensitivity`` put the cohort itself in their inputs.
 Witness payloads embed the complete probe inputs so a violation can be
 re-evaluated from the report alone.
 """
@@ -21,7 +24,7 @@ import hashlib
 import json
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import Cohort, ExternalStandard, StratumCell, StratumTable, World, _as_float
 from .csvio import write_rows
@@ -34,9 +37,42 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = "1"
 
 
+def _number(value: float) -> str:
+    """17 significant digits (lossless for binary64), with ``.0`` added to an integral value."""
+    text = f"{value:.17g}"
+    return text if "." in text or "e" in text else text + ".0"
+
+
+def _cohort_pieces(cohort: Cohort, indent: int | None, level: int) -> Iterator[str]:
+    """The text of ``cohort_payload(cohort)`` at nesting ``level``, one hospital per piece.
+
+    Written straight from the cells with one fixed template per cell, so no payload copy
+    is built. ``StratumCell`` has already checked every count and rate finite, and ids go
+    through ``str`` as in ``table_payload``, so the bytes equal the generic walk's."""
+    if not cohort.hospitals:
+        yield "[]"
+        return
+    p0, p1, p2, p3, p4 = ("" if indent is None else "\n" + " " * (indent * n) for n in range(level, level + 5))
+    rate_head, count_head = "{" + p4 + '"mortality_rate": ', "," + p4 + '"patients": '
+    id_head, cell_end, cell_sep = "," + p4 + '"stratum_id": ', p3 + "}", "," + p3
+    number, quote = _number, encode_basestring_ascii
+    sep = "[" + p1
+    for table in cohort.hospitals:
+        cells = cell_sep.join([
+            f"{rate_head}{'null' if c.rate is None else number(c.rate)}{count_head}{number(c.count)}"
+            f"{id_head}{quote(str(sid))}{cell_end}"
+            for sid, c in table.cells.items()
+        ])
+        cells = f"[{p3}{cells}{p2}]" if cells else "[]"
+        yield f'{sep}{{{p2}"cells": {cells},{p2}"hospital_id": {quote(str(table.hospital))}{p1}}}'
+        sep = "," + p1
+    yield p0 + "]"
+
+
 def _write(payload: Any, indent: int | None, emit: Callable[[str], None]) -> None:
     """Pass the canonical text of ``payload`` to ``emit`` in pieces of a few thousand chunks.
-    Dicts whose keys are all exact ``str`` reuse their sorted ``"key": `` heads per (keys, level)."""
+    Dicts whose keys are all exact ``str`` reuse their sorted ``"key": `` heads per (keys, level);
+    a ``Cohort`` comes from ``_cohort_pieces``, a piece per 64 hospitals."""
     out: list[str] = []
     heads: dict[tuple, tuple[list, list[str]]] = {}
 
@@ -48,8 +84,7 @@ def _write(payload: Any, indent: int | None, emit: Callable[[str], None]) -> Non
             elif kind is float or isinstance(value, float):
                 if not isfinite(value):
                     raise InvalidParameterError(f"cannot serialize non-finite number {value!r}")
-                text = f"{float(value):.17g}"  # csvio.format_number, inlined
-                out.append(head + (text if "." in text or "e" in text else text + ".0"))
+                out.append(head + _number(float(value)))
             elif kind is bool or value is None:
                 out.append(head + ("null" if value is None else "true" if value else "false"))
             elif isinstance(value, (int, str)):
@@ -71,6 +106,14 @@ def _write(payload: Any, indent: int | None, emit: Callable[[str], None]) -> Non
                     prefixes, brackets = entry[1], "{}"
                 elif isinstance(value, (list, tuple)):
                     prefixes, children, brackets = ["[" + pad] + ["," + pad] * (len(value) - 1), value, "[]"
+                elif kind is Cohort:
+                    out.append(head)
+                    for piece in _cohort_pieces(value, indent, level):
+                        out.append(piece)
+                        if len(out) >= 64:
+                            emit("".join(out))
+                            out.clear()
+                    continue
                 else:
                     raise InvalidParameterError(f"cannot serialize {type(value).__name__}")
                 if not value:

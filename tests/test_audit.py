@@ -179,6 +179,18 @@ class TestChecks:
         with pytest.raises(IncomparableProbeError):
             check_equivalence(REGISTRY["smr-external"], [probe])
 
+    @pytest.mark.parametrize("empty", [{}, {"2": (0.0, 0.1)}, {"2": (0.0, None)}],
+                             ids=["same-strata", "empty-stratum-rates-differ", "empty-stratum-no-rate"])
+    def test_dominance_pair_with_identical_rates_is_refused(self, empty):
+        # equal rates in every populated stratum: no stratum where A is strictly better
+        world = World(
+            Cohort.build({"A": {"1": (5.0, 0.2), "2": (0.0, 0.05)}, "B": {"1": (9.0, 0.2), **empty}}),
+            ExternalStandard({"1": 0.1, "2": 0.1}),
+        )
+        probe = PairProbe(world, "A", "B", "dominates")
+        with pytest.raises(IncomparableProbeError, match="does not satisfy dominance"):
+            check_dominance(REGISTRY["smr-external"], [probe])
+
     def test_non_dominant_pair_rejected(self):
         world = World(
             Cohort.build({"A": {"1": (5.0, 0.3)}, "B": {"1": (5.0, 0.2)}}),
@@ -270,6 +282,13 @@ class TestProbeGenerator:
         assert digest.hexdigest() == (
             "41732e713144d4c769d21680b4fb98a0211f7db6bce203230623e11a07b7a6da"
         )
+
+    @pytest.mark.parametrize("axiom, scheme", [("strict_monotonicity", "Internal"), ("dominance", "bogus"),
+                                               ("monotonicity", "external")])
+    def test_unknown_axiom_or_scheme_is_refused(self, axiom, scheme):
+        # refused at the call, before any probe is drawn, as mandatory_probes refuses it
+        with pytest.raises(InvalidParameterError, match=f"{axiom!r} under scheme {scheme!r}"):
+            ProbeGenerator(1).stream(axiom, scheme)
 
     def test_generated_probes_are_valid(self):
         gen = ProbeGenerator(3)

@@ -12,7 +12,7 @@ from smr_axioms.cli import main
 from smr_axioms.core import EXACT_TOL
 from smr_axioms.csvio import emit_hospitals, emit_standard, ingest, load_hospitals
 from smr_axioms.errors import ParseError, ValidationError
-from smr_axioms.report import inputs_digest
+from smr_axioms.report import cohort_payload, inputs_digest, standard_payload
 
 from worlds import random_cohort, random_standard
 
@@ -714,6 +714,16 @@ H3,3,10,0.3
 """
 THREE_STANDARD_CSV = "stratum_id,expected_rate\n1,0.1\n2,0.2\n3,0.25\n"
 
+#: Ids that need quoting or escaping, a fractional count and empty cells with and without a rate.
+QUOTED_IDS_CSV = '''hospital_id,stratum_id,patients,mortality_rate
+"H,1",1,10,0.2
+"H,1",2,0,
+"say ""q""",1,2.5,1
+"say ""q""",2,0,0.3
+Hôpital,1,40,0
+Hôpital,2,1e-7,0.5
+'''
+
 
 def _sensitivity(*options, scheme="internal"):
     return ["sensitivity", "--hospitals", "{hospitals}", "--standard", "{standard}", "--scheme", scheme,
@@ -810,6 +820,23 @@ class TestInputsDigest:
         digest = self._digest(argv, here, capsys)
         assert self._digest(argv, there, capsys) == digest
         assert self._digest(argv, here, capsys, out=tmp_path / "report.json") == digest
+
+    @pytest.mark.parametrize("command", ["compute-external", "compute-internal", "sensitivity-external"])
+    def test_digest_is_that_of_the_payload_form(self, command, tmp_path, capsys):
+        # the commands digest the Cohort itself; the bytes are those of its cohort_payload dicts
+        hospitals, standard = tmp_path / "h.csv", tmp_path / "s.csv"
+        hospitals.write_text(QUOTED_IDS_CSV, encoding="utf-8")
+        standard.write_text("stratum_id,expected_rate\n1,0.1\n2,0.25\n", encoding="utf-8")
+        name, scheme = command.split("-")
+        argv = [name, "--hospitals", str(hospitals), "--standard", str(standard), "--scheme", scheme]
+        cohort, rates = ingest(hospitals, standard)
+        inputs = {"hospitals": cohort_payload(cohort), "standard": standard_payload(rates), "scheme": scheme}
+        if name == "sensitivity":
+            argv += ["--analysis", "me-actual", "--hospital", "H,1", "--stratum", "1"]
+            inputs.update(analysis="me-actual", parameters={"hospital_id": "H,1", "stratum_id": "1"},
+                          tolerance=sensitivity.SIGN_ZERO_TOL)
+        _, payload = run_json(capsys, argv)
+        assert payload["inputs_digest"] == inputs_digest(inputs)
 
     @pytest.mark.parametrize("case", sorted(_DIGEST_CHANGES))
     def test_each_result_option_moves_the_digest(self, case, tmp_path, capsys):

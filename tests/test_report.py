@@ -3,8 +3,10 @@
 ``reference_render`` is the writer as it was before it became a single
 walk over a chunk list: it builds a string per nesting level and runs the
 ``isinstance`` chain on every value. ``report.dumps`` and
-``report.inputs_digest`` must reproduce its bytes exactly. The payload
-readers at the end must refuse malformed numbers with a typed error.
+``report.inputs_digest`` must reproduce its bytes exactly, and a
+``Cohort``, which the writer takes straight from its cells, must give
+the bytes of its ``cohort_payload`` dicts. The payload readers at the
+end must refuse malformed numbers with a typed error.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from math import inf, isfinite, nan
+from random import Random
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -19,8 +22,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smr_axioms import report
+from smr_axioms.core import Cohort, StratumCell, StratumTable
 from smr_axioms.csvio import format_number
 from smr_axioms.errors import InvalidParameterError
+
+from worlds import random_cohort
 
 
 def reference_render(value: Any, indent: int | None, level: int = 0) -> str:
@@ -149,6 +155,55 @@ def test_digest_spans_many_pieces():
              for i in range(20_000)]
     payload = {"hospitals": [{"hospital_id": f"H{h}", "cells": cells[h::100]} for h in range(100)], "scheme": "x"}
     assert report.inputs_digest(payload) == reference_digest(payload)
+
+
+# Ids that need quoting or escaping, and int ids, which the payload writes through str.
+IDS = st.one_of(
+    st.sampled_from(["H,1", '"q"', "Hôpital", "a\nb", "S01", ""]), st.integers(-3, 12), st.text(max_size=3)
+)
+RATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+COUNTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 2.5, 1e17, 1e-7]),
+    st.integers(0, 500),
+    st.floats(0.0, 1e20, allow_nan=False, allow_infinity=False),
+)
+# An empty cell may leave its rate undefined or carry one; a populated cell always has one.
+CELLS = st.one_of(st.tuples(st.sampled_from([0.0, 0]), st.one_of(st.none(), RATES)), st.tuples(COUNTS, RATES))
+TABLES = st.tuples(IDS, st.lists(st.tuples(IDS, CELLS), max_size=4, unique_by=lambda c: str(c[0])))
+COHORTS = st.lists(TABLES, max_size=4, unique_by=lambda t: str(t[0])).map(
+    lambda tables: Cohort(
+        tuple(StratumTable(h, {sid: StratumCell(*c) for sid, c in cells}) for h, cells in tables)
+    )
+)
+# the cohort at the top, inside the inputs envelope, and two levels down
+NESTINGS = [
+    lambda x: x,
+    lambda x: {"hospitals": x, "standard": None, "scheme": "internal"},
+    lambda x: [[x], {"z": x}],
+]
+
+
+def assert_cohort_written_as_payload(cohort: Cohort) -> None:
+    payload = report.cohort_payload(cohort)
+    for nest in NESTINGS:
+        for indent in (None, 2):
+            assert report.dumps(nest(cohort), indent) == report.dumps(nest(payload), indent)
+            assert report.dumps(nest(cohort), indent) == reference_dumps(nest(payload), indent)
+        assert report.inputs_digest(nest(cohort)) == report.inputs_digest(nest(payload))
+
+
+@settings(max_examples=200, deadline=None)
+@given(COHORTS)
+def test_cohort_is_written_as_its_payload(cohort):
+    assert_cohort_written_as_payload(cohort)
+
+
+def test_large_cohort_is_written_as_its_payload_across_pieces():
+    cohort, _ = random_cohort(Random(11), hospitals=150, strata_count=20)
+    assert_cohort_written_as_payload(cohort)
+    pieces: list[str] = []
+    report._write(cohort, None, pieces.append)  # hashed in pieces, never held whole
+    assert len(pieces) > 2 and "".join(pieces) == report.dumps(cohort, None)
 
 
 @pytest.mark.parametrize(

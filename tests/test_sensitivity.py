@@ -35,6 +35,7 @@ from smr_axioms import (
 )
 from smr_axioms.core import World
 from smr_axioms.errors import (
+    EmptyHospitalError,
     InvalidParameterError,
     NotConcentratedError,
     SameHospitalError,
@@ -163,6 +164,18 @@ class TestConcentration:
         table = StratumTable.build("H", {"b": (10.0, 0.15)})
         standard = ExternalStandard({"b": 0.15})
         assert concentrated_smr_external(table, standard, "b") == 1.0
+
+    @pytest.mark.parametrize("rate", [0.3, None], ids=["rate-supplied", "no-rate"])
+    def test_rejects_empty_hospital(self, rate):
+        table = StratumTable.build("H", {"a": (0.0, None), "b": (0.0, rate)})
+        with pytest.raises(EmptyHospitalError, match="no patients"):
+            concentrated_smr_external(table, ExternalStandard({"a": 0.1, "b": 0.1}), "b")
+
+    def test_rejects_zero_standard_rate_as_typed_error(self):
+        # a typed refusal, not the bare ZeroDivisionError of p_hk / 0
+        table = StratumTable.build("H", {"a": (0.0, None), "b": (10.0, 0.3)})
+        with pytest.raises(ZeroExpectedRateError, match="'b' is zero"):
+            concentrated_smr_external(table, ExternalStandard({"a": 0.1, "b": 0.0}), "b")
 
     def test_rejects_spread_patients(self):
         table = StratumTable.build("H", {"a": (1.0, 0.1), "b": (10.0, 0.3)})
