@@ -32,8 +32,11 @@ Internal standardization is external standardization against
 are summed in one pass over the cells, the first time a ``Cohort``
 object needs them, and kept on that object, so :func:`smr_all`, and
 equally :func:`smr_internal` called once per hospital, is O(H*S) in
-total for H hospitals and S strata. A perturbed copy from
-``Cohort.with_table`` starts without the totals and sums its own cells.
+total for H hospitals and S strata. The pass keeps each stratum's terms,
+one slot per hospital: a ``Cohort.with_table`` copy keeping the replaced
+table's stratum ids and order re-sums only the totals it changes, never
+reading other hospitals' cells, and any other copy sums its own cells.
+Totals beyond the float range raise ``TotalOverflowError``.
 
 Cells with ``count == 0`` may carry a rate (it is ignored by all rate
 aggregations) or leave it undefined. A zero expected rate is a typed
@@ -54,8 +57,10 @@ hospital ordering bit-for-bit.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from math import fsum, inf
 from typing import Collection, Iterator, Literal, Mapping, Union
 
@@ -63,6 +68,7 @@ from .errors import (
     EmptyHospitalError,
     InvalidParameterError,
     MissingStandardRateError,
+    TotalOverflowError,
     UnknownHospitalError,
     UnknownStratumError,
     ZeroExpectedRateError,
@@ -165,7 +171,10 @@ class StratumTable:
 
     @property
     def total_count(self) -> float:
-        return fsum(c.count for c in self.cells.values())
+        try:
+            return fsum(c.count for c in self.cells.values())
+        except OverflowError:
+            raise TotalOverflowError(f"patients of hospital {self.hospital!r} overflow a float") from None
 
     @property
     def strata(self) -> tuple[StratumId, ...]:
@@ -230,11 +239,11 @@ class Cohort:
 
     hospitals: tuple[StratumTable, ...] = field(default_factory=tuple)
     _index: dict[HospitalId, StratumTable] = field(init=False, repr=False, compare=False)
-    # stratum -> (patients, deaths) over all hospitals, in first-seen order;
-    # filled by _stratum_sums on first use, so a cohort that never needs it pays nothing
-    _sums: dict[StratumId, tuple[float, float]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # _sums: stratum -> (patients, deaths) over all hospitals in first-seen order, set on first use;
+    # _terms: those terms by hospital slot (0.0 without patients) if it summed its cells; _base: (parent, slot)
+    _sums: dict[StratumId, tuple[float, float]] | None = field(default=None, init=False, repr=False, compare=False)
+    _terms: dict[StratumId, tuple[array, array]] | None = field(default=None, init=False, repr=False, compare=False)
+    _base: tuple[Cohort, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hospitals", tuple(self.hospitals))
@@ -260,23 +269,36 @@ class Cohort:
 
     def _stratum_sums(self) -> dict[StratumId, tuple[float, float]]:
         """Cohort-wide (patients, deaths) per stratum, summed once per object."""
-        sums = self._sums
-        if sums is None:
-            terms: dict[StratumId, tuple[list[float], list[float]]] = {}
-            for t in self.hospitals:
-                for sid, c in t.cells.items():
-                    entry = terms.get(sid)
-                    if entry is None:
-                        entry = terms[sid] = ([], [])
-                    entry[0].append(c.count)
-                    if c.count > 0.0:
-                        entry[1].append(c.count * c.rate)
-            sums = {}
-            for sid, (counts, deaths) in terms.items():
-                if len(counts) < len(self.hospitals):
-                    counts.append(0.0)  # a hospital without the stratum counts 0.0, as in t.count
-                sums[sid] = (fsum(counts), fsum(deaths))
+        if self._sums is None:
+            try:
+                sums = self._swap_sums(*self._base) if self._base else self._sum_cells()
+            except OverflowError:
+                raise TotalOverflowError("cohort-wide patients of a stratum overflow a float") from None
             object.__setattr__(self, "_sums", sums)
+        return self._sums
+
+    def _sum_cells(self) -> dict[StratumId, tuple[float, float]]:
+        zeros = array("d", [0.0]) * len(self.hospitals)
+        terms: dict[StratumId, tuple[array, array]] = {}
+        for slot, t in enumerate(self.hospitals):
+            for sid, c in t.cells.items():
+                entry = terms.get(sid)
+                if entry is None:
+                    entry = terms[sid] = (array("d", zeros), array("d", zeros))
+                entry[0][slot] = c.count
+                entry[1][slot] = c.count * c.rate if c.count > 0.0 else 0.0
+        sums = {sid: (fsum(counts), fsum(deaths)) for sid, (counts, deaths) in terms.items()}
+        object.__setattr__(self, "_terms", terms)
+        return sums
+
+    def _swap_sums(self, parent: Cohort, slot: int) -> dict[StratumId, tuple[float, float]]:
+        sums = dict(parent._stratum_sums())  # not parent._sums, which a racing thread may not have set yet
+        for sid, c in self.hospitals[slot].cells.items():
+            terms = (c.count, c.count * c.rate if c.count > 0.0 else 0.0)
+            sums[sid] = tuple(
+                total if col[slot] == x else fsum(chain(col[:slot], (x,), col[slot + 1 :]))
+                for col, x, total in zip(parent._terms[sid], terms, sums[sid])
+            )
         return sums
 
     def strata(self) -> tuple[StratumId, ...]:
@@ -291,12 +313,16 @@ class Cohort:
     def with_table(self, table: StratumTable) -> "Cohort":
         """Copy with the same-id hospital replaced; the ids stay valid, so nothing is re-checked.
 
-        The copy does not inherit the stratum totals: it sums its own cells when first asked.
+        The copy sums its own cells, unless this cohort summed its own and ``table`` keeps the
+        replaced table's stratum ids and order: then it re-sums only the totals ``table`` changes.
         """
         old = self.table(table.hospital)
+        slot = list(self._index).index(table.hospital)
         copy = object.__new__(Cohort)
-        object.__setattr__(copy, "hospitals", tuple(table if t is old else t for t in self.hospitals))
+        object.__setattr__(copy, "hospitals", (*self.hospitals[:slot], table, *self.hospitals[slot + 1 :]))
         object.__setattr__(copy, "_index", {**self._index, table.hospital: table})
+        if self._terms is not None and list(table.cells) == list(old.cells):
+            object.__setattr__(copy, "_base", (self, slot))
         return copy
 
 

@@ -28,6 +28,10 @@ class ZeroExpectedRateError(SmrError):
     """The expected mortality rate is zero; the ratio is undefined."""
 
 
+class TotalOverflowError(SmrError):
+    """A patient total exceeds the largest finite float."""
+
+
 class UnknownHospitalError(SmrError):
     """Hospital id not present in the cohort."""
 

@@ -211,6 +211,14 @@ class TestChecks:
         with pytest.raises(IncomparableProbeError):
             check_strict_monotonicity(REGISTRY["smr-external"], [probe])
 
+    def test_monotonicity_probe_on_an_empty_stratum_with_a_rate(self):
+        world = World(
+            Cohort.build({"A": {"1": (0.0, 0.2), "2": (5.0, 0.3)}}), ExternalStandard({"1": 0.1, "2": 0.1})
+        )
+        probe = MonotonicityProbe(world, "A", "1", 1e-3)
+        with pytest.raises(InvalidParameterError, match="populated stratum"):
+            probe.perturb(world.cohort.table("A"))
+
     def test_case_mix_check_finds_nothing_for_constant(self):
         probes = mandatory_probes("case_mix_insensitivity", "external")
         verdict = check_case_mix_insensitivity(REGISTRY["constant"], probes)

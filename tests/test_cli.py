@@ -140,6 +140,21 @@ class TestCompute:
         assert code == 1
         assert "stratum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scheme, rows",
+        [("internal", "H1,1,1e308,0.2\nH2,1,1e308,0.1\n"), ("external", "H1,1,1e308,0.2\nH1,2,1e308,0.1\n")],
+    )
+    def test_patient_total_beyond_the_float_range_is_data_error(self, scheme, rows, tmp_path, capsys):
+        hospitals = tmp_path / "h.csv"
+        hospitals.write_text("hospital_id,stratum_id,patients,mortality_rate\n" + rows)
+        standard = tmp_path / "s.csv"
+        standard.write_text(FLAT_STANDARD_CSV)
+        argv = ["compute", "--hospitals", str(hospitals), "--scheme", scheme]
+        code = main(argv + (["--standard", str(standard)] if scheme == "external" else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflow a float" in err and err.count("\n") == 1
+
 
 class TestIngestValidation:
     def test_populated_row_without_rate(self, tmp_path, capsys):

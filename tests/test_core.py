@@ -1,6 +1,7 @@
 """Core model: rates, standards and the two ratio variants."""
 
 import math
+from collections.abc import Mapping
 from random import Random
 
 import pytest
@@ -8,24 +9,31 @@ from hypothesis import given, settings, strategies as st
 
 from smr_axioms import core
 from smr_axioms import (
+    CaseMixShift,
     Cohort,
     EXACT_TOL,
     ExternalStandard,
+    ScaleChange,
     StratumCell,
     StratumTable,
     actual_rate,
     expected_rate_external,
     expected_rate_internal,
     internal_standard,
+    scale_hospital,
+    shift_case_mix,
     smr_all,
     smr_external,
     smr_internal,
+    with_cell,
+    with_rate,
 )
 from smr_axioms.errors import (
     EmptyHospitalError,
     InvalidParameterError,
     MissingStandardRateError,
     SmrError,
+    TotalOverflowError,
     UnknownHospitalError,
     ZeroExpectedRateError,
 )
@@ -280,6 +288,146 @@ class TestStratumSums:
         calls.clear()
         assert smr_internal(cohort, "H1") == ratio
         assert len(calls) == ratio_calls  # only the hospital's own sums, none over the cohort
+
+
+def _perturb(rng, table):
+    """``table`` after one random change of the kinds that sensitivity analyses and probes make."""
+    cells = list(table.cells)
+    kinds = ["rate", "count", "zero", "add", "reorder", "scale", "shift"] if cells else ["add"]
+    kind, sid = rng.choice(kinds), rng.choice(cells) if cells else None
+    rate = table.rate(sid)
+    if kind == "rate":
+        return with_rate(table, sid, rng.choice([rng.uniform(0.0, 1.0), 0.0, -0.0]))
+    if kind == "count":  # from 0 or not, to a positive count
+        rate = rng.uniform(0.01, 0.5) if rate is None else rate
+        return with_cell(table, sid, 10.0 ** rng.uniform(-1.0, 3.0), rate)
+    if kind == "zero":
+        return with_cell(table, sid, rng.choice([0.0, -0.0]), rng.choice([rate, None, -0.0]))
+    if kind == "add":
+        sid = rng.choice(["S1", "S2", "new"])  # new to the table, or replaced
+        return with_cell(table, sid, 10.0 ** rng.uniform(0.0, 3.0), rng.uniform(0.01, 0.5))
+    if kind == "reorder":
+        return StratumTable(table.hospital, dict(reversed(table.cells.items())))
+    if kind == "scale":
+        return scale_hospital(table, ScaleChange(10.0 ** rng.uniform(-1.0, 1.0)))
+    donors = [s for s in cells if table.count(s) > 0.0]
+    src = rng.choice(donors) if donors else sid
+    takers = [s for s in cells if s != src and table.rate(s) is not None]
+    if not donors or not takers:
+        return with_rate(table, sid, 0.5)
+    eta = table.count(src) * rng.choice([rng.random(), 1.0])
+    return shift_case_mix(table, CaseMixShift(src, rng.choice(takers), eta))
+
+
+def _assert_totals_of_a_fresh_cohort(cohort):
+    fresh = Cohort(cohort.hospitals)
+    assert cohort.strata() == fresh.strata()
+    got, want = internal_standard(cohort), internal_standard(fresh)
+    assert list(got) == list(want)
+    assert _hexes(got.values()) == _hexes(want.values())
+    for sid in [*fresh.strata(), "unknown"]:
+        assert cohort.stratum_count(sid).hex() == fresh.stratum_count(sid).hex()
+
+
+class _Tripwire(Mapping):
+    """Cells that fail the test when anything reads them."""
+
+    def _trip(self, *args):
+        raise AssertionError("read the cells of a hospital the copy did not replace")
+
+    __getitem__ = __iter__ = __len__ = _trip
+
+
+class TestWithTableTotals:
+    """A copy's stratum totals, derived from its parent's or summed, equal those of a fresh cohort."""
+
+    @given(st.integers(0, 10_000), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_copies_match_a_fresh_cohort(self, seed, ragged, parent_summed):
+        rng = Random(seed)
+        cohort, _ = _ragged_cohort(rng) if ragged else random_cohort(rng)
+        if parent_summed:
+            internal_standard(cohort)
+        copy = cohort.with_table(_perturb(rng, rng.choice(cohort.hospitals)))
+        if rng.random() < 0.5:
+            _assert_totals_of_a_fresh_cohort(copy)
+        copy_of_copy = copy.with_table(_perturb(rng, rng.choice(copy.hospitals)))
+        _assert_totals_of_a_fresh_cohort(copy)
+        _assert_totals_of_a_fresh_cohort(copy_of_copy)
+
+    @pytest.mark.parametrize(
+        "perturb",
+        [
+            lambda t: with_rate(t, "S2", 0.45),
+            lambda t: with_cell(t, "S1", 0.0, None),
+            lambda t: scale_hospital(t, ScaleChange(3.0)),
+            lambda t: shift_case_mix(t, CaseMixShift("S1", "S2", t.count("S1") / 2)),
+        ],
+        ids=["rate", "emptied", "scaled", "shifted"],
+    )
+    def test_copy_never_reads_the_other_hospitals_cells(self, perturb):
+        cohort, _ = random_cohort(Random(11), hospitals=40, strata_count=5, allow_empty=False)
+        internal_standard(cohort)
+        table = cohort.table("H7")
+        new = perturb(table)
+        fresh = Cohort(tuple(new if t is table else t for t in cohort.hospitals))
+        strata, rates, ratio = fresh.strata(), internal_standard(fresh), smr_internal(fresh, "H7")
+        for t in cohort.hospitals:
+            if t is not table:
+                object.__setattr__(t, "cells", _Tripwire())
+        copy = cohort.with_table(new)
+        assert copy.strata() == strata
+        assert list(internal_standard(copy)) == list(rates)
+        assert _hexes(internal_standard(copy).values()) == _hexes(rates.values())
+        assert smr_internal(copy, "H7") == ratio
+
+
+    def test_copy_re_sums_only_the_terms_it_changes(self, monkeypatch):
+        cohort, _ = random_cohort(Random(5), hospitals=30, strata_count=6, allow_empty=False)
+        internal_standard(cohort)
+        calls = []
+        monkeypatch.setattr(core, "fsum", lambda terms: calls.append(None) or math.fsum(terms))
+        table = cohort.table("H3")
+        same = cohort.with_table(StratumTable(table.hospital, table.cells))
+        assert internal_standard(same) == internal_standard(cohort)
+        assert calls == []
+        internal_standard(cohort.with_table(with_rate(table, "S2", 0.33)))
+        assert len(calls) == 1  # the deaths of S2: no count moved
+        calls.clear()
+        internal_standard(cohort.with_table(scale_hospital(table, ScaleChange(2.0))))
+        assert len(calls) == 12  # patients and deaths of every stratum
+
+
+class TestTotalOverflow:
+    """A patient total beyond the float range is a typed error, not an ``OverflowError``."""
+
+    def test_hospital_total(self):
+        table = StratumTable.build("H", {"1": (1e308, 0.2), "2": (1e308, 0.1)})
+        with pytest.raises(TotalOverflowError, match="hospital 'H'"):
+            table.total_count
+        with pytest.raises(TotalOverflowError):
+            smr_external(table, ExternalStandard({"1": 0.1, "2": 0.1}))
+
+    def test_stratum_total(self):
+        cohort = Cohort.build({"H1": {"1": (1e308, 0.2)}, "H2": {"1": (1e308, 0.1)}})
+        for _ in range(2):  # nothing is kept from a failed sum
+            with pytest.raises(TotalOverflowError, match="stratum"):
+                internal_standard(cohort)
+        with pytest.raises(TotalOverflowError):
+            smr_all(cohort, "internal")
+
+    def test_derived_copy_raises_as_a_fresh_cohort(self):
+        cohort = Cohort.build(
+            {"H1": {"1": (1e308, 0.2), "2": (1.0, 0.1)}, "H2": {"1": (1.0, 0.1), "2": (1.0, 0.3)}}
+        )
+        internal_standard(cohort)
+        copy = cohort.with_table(StratumTable.build("H2", {"1": (1e308, 0.1), "2": (1.0, 0.3)}))
+        with pytest.raises(TotalOverflowError) as fresh:
+            internal_standard(Cohort(copy.hospitals))
+        object.__setattr__(cohort.table("H1"), "cells", _Tripwire())  # the copy must derive its totals
+        with pytest.raises(TotalOverflowError) as derived:
+            internal_standard(copy)
+        assert str(derived.value) == str(fresh.value)
 
 
 class TestSmrInternal:

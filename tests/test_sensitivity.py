@@ -11,6 +11,7 @@ from smr_axioms import (
     EXACT_TOL,
     ExternalStandard,
     ScaleChange,
+    SensitivityReport,
     StratumTable,
     concentrated_smr_external,
     delta_smr_scale_internal,
@@ -49,6 +50,10 @@ from smr_axioms.sensitivity import ANALYSES, SIGN_ZERO_TOL, cross_check
 
 from test_golden import SENSITIVITY_RUNS
 from worlds import populated_strata, random_cohort, random_standard
+
+
+#: The report of a change that cannot reach the hospital, which treats no patient in the stratum.
+UNEXPOSED = SensitivityReport(0.0, "zero", "n_hk == 0", 0.0, {"share": 0.0})
 
 
 def agrees(report):
@@ -217,6 +222,13 @@ class TestMarginalEffectsExternal:
         table = StratumTable.build("H", {"a": (10.0, 0.2), "b": (0.0, 0.1)})
         standard = ExternalStandard({"a": 0.2, "b": 0.1})
         assert me_actual_external(table, standard, "b").value == 0.0
+
+    @pytest.mark.parametrize("analysis", [me_actual_external, me_expected_external])
+    @pytest.mark.parametrize("rate", [0.1, None])
+    def test_empty_stratum_is_the_unexposed_report(self, analysis, rate):
+        table = StratumTable.build("H", {"a": (10.0, 0.2), "b": (0.0, rate)})
+        standard = ExternalStandard({"a": 0.2, "b": 0.1})
+        assert analysis(table, standard, "b") == UNEXPOSED
 
     def test_lower_expected_rate_reacts_harder(self):
         world = build_scenario(ScenarioSpec("actual-ext", (0.1,)), 0.1)
@@ -466,6 +478,13 @@ class TestExpectedAndCrossInternal:
     def test_zero_shift(self):
         world = actual_int_world(0.5, 0.8)
         assert dsmr_expected_internal(world.cohort, "H1", "1", 0.0).value == 0.0
+
+    @pytest.mark.parametrize("rate", [0.4, None])
+    def test_shift_of_a_stratum_the_hospital_leaves_empty(self, rate):
+        cohort = Cohort.build(
+            {"H1": {"1": (10.0, 0.2), "2": (5.0, 0.3)}, "H2": {"1": (0.0, rate), "2": (8.0, 0.1)}}
+        )
+        assert dsmr_expected_internal(cohort, "H2", "1", 0.01) == UNEXPOSED
 
     def test_positive_shift_lowers_ratio(self):
         world = actual_int_world(0.5, 0.8)
