@@ -1,5 +1,6 @@
 """Closed-form sensitivities against independent recomputation oracles."""
 
+from itertools import islice
 from random import Random
 
 import pytest
@@ -34,6 +35,7 @@ from smr_axioms import (
     smr_internal_scale_limit,
     standard_shift_add_patients,
 )
+from smr_axioms.audit import ProbeGenerator
 from smr_axioms.core import World
 from smr_axioms.errors import (
     EmptyHospitalError,
@@ -711,3 +713,25 @@ class TestCrossCheckBound:
             report = row.run(world, parameters, SIGN_ZERO_TOL)
             residual, bound = cross_check(report, row.check)
             assert residual <= bound, (analysis, scheme, report)
+
+
+#: Audit stream -> the sensitivity row it perturbs by, and that row's parameters from a probe.
+AUDIT_STREAMS = {
+    "case_mix_insensitivity": ("shift", lambda p: {
+        "from_stratum": p.shift.from_stratum, "to_stratum": p.shift.to_stratum, "eta": p.shift.eta}),
+    "scale_insensitivity": ("scale", lambda p: {"lambda": p.factor}),
+    "strict_monotonicity": ("me-actual", lambda p: {"stratum_id": p.stratum}),
+}
+
+
+class TestAuditProbes:
+    @pytest.mark.parametrize("scheme", ["external", "internal"])
+    @pytest.mark.parametrize("axiom", sorted(AUDIT_STREAMS))
+    def test_closed_forms_agree_with_recomputation_on_the_audit_probes(self, axiom, scheme):
+        analysis, parameters_of = AUDIT_STREAMS[axiom]
+        row = ANALYSES[analysis, scheme]
+        for probe in islice(ProbeGenerator(17).stream(axiom, scheme), 300):
+            parameters = {"hospital_id": probe.hospital, **parameters_of(probe)}
+            report = row.run(probe.world, parameters, SIGN_ZERO_TOL)
+            residual, bound = cross_check(report, row.check)
+            assert residual <= bound, (probe, report)
