@@ -276,8 +276,7 @@ def _check_perturbations(
     ran = 0
     for probe in probes:
         ran += 1
-        table = probe.world.cohort.table(probe.hospital)
-        perturbed = World(probe.world.cohort.with_table(probe.perturb(table)), probe.world.standard)
+        perturbed = probe.world.with_table(probe.perturb(probe.world.cohort.table(probe.hospital)))
         before = measure.evaluate(probe.world, probe.hospital)
         after = measure.evaluate(perturbed, probe.hospital)
         if violated(after - before):

@@ -439,3 +439,7 @@ class World:
     def rates(self) -> Rates:
         """The benchmark this world's hospitals are measured against."""
         return internal_standard(self.cohort) if self.standard is None else self.standard.rates
+
+    def with_table(self, table: StratumTable) -> "World":
+        """This world with ``table`` in place of the same-id hospital's; an internal benchmark follows it."""
+        return World(self.cohort.with_table(table), self.standard)

@@ -13,8 +13,8 @@ closed-form value with
 Reports are built by one skeleton, ``_report``: it classifies the sign
 of the value and fills the ``{}`` of the condition with the relation of
 that sign (``>``, ``==``, ``<``, or reversed for conditions that put the
-SMR below a threshold). Only ``dsmr_uniform_actual_internal`` and
-``dsmr_expected_internal`` build their own, since their conditions
+SMR below a threshold). ``dsmr_uniform_actual_internal`` and
+``dsmr_expected_internal`` pass their conditions filled in, since those
 follow the sign of ``1 - SMR * overlap`` and of ``dpe``, not of the
 value. A run that does not touch the hospital (``eta == 0``,
 ``n_hk == 0``, ``n_ik == 0``) gets the exact-zero report of
@@ -34,12 +34,16 @@ at the [0, 1] boundary) to ``1e-5 * max(1, |value|, |fd_check|)``.
 its cross-check kind. :func:`cross_check` gives a report's residual and
 bound; the ``sensitivity`` command exits 1 when the residual is larger.
 
-Under the internal scheme the benchmark is endogenous, so every
-cross-check rebuilds the benchmark from the perturbed cohort. That
-endogeneity is what produces the paradoxical branches: a marginal
-effect of a hospital's own mortality rate can be negative once the
-ratio exceeds ``n_k / n_hk``, and growing a hospital drags its ratio
-toward 1.
+Every cross-check recomputes the ratio through one harness, ``_ratio``,
+against the benchmark that follows the perturbed ``core.World``: an
+external analysis perturbs the one-hospital world of its table and
+standard, so the check costs O(strata), and an internal one re-sums only
+the totals that the swapped table changes. The internal benchmark is
+endogenous, so each internal closed form is the external one times the
+hospital's feedback through that benchmark. That endogeneity produces
+the paradoxical branches: a marginal effect of a hospital's own
+mortality rate can be negative once the ratio exceeds ``n_k / n_hk``,
+and growing a hospital drags its ratio toward 1.
 """
 
 from __future__ import annotations
@@ -53,8 +57,10 @@ from .core import (
     Cohort,
     ExternalStandard,
     HospitalId,
+    Rates,
     StratumId,
     StratumTable,
+    World,
     with_cell,
     with_rate,
 )
@@ -81,6 +87,8 @@ FD_REL_TOL = 1e-5
 #: where an increase puts the SMR below a threshold.
 _REL = {"increase": ">", "zero": "==", "decrease": "<"}
 _FLIPPED = {"increase": "<", "zero": "==", "decrease": ">"}
+#: A hospital's stratum rate against the benchmark, by the sign of their difference.
+_VERSUS_MEAN = {"increase": "above mean", "zero": "at mean", "decrease": "below mean"}
 
 
 @dataclass(frozen=True)
@@ -223,11 +231,42 @@ def _offset_slope(f: Callable[[float], float], step: float = FD_STEP) -> float:
     return (f(step) - f(-step)) / (2.0 * step)
 
 
+def _ratio(
+    world: World, hospital: HospitalId, table: StratumTable | None = None, rates: Rates | None = None
+) -> float:
+    """``hospital``'s SMR with ``table`` swapped in, against ``rates`` or else the benchmark that follows."""
+    world = world if table is None else world.with_table(table)
+    return core.smr(world.cohort.table(hospital), world.rates() if rates is None else rates, world.scheme).smr
+
+
+def _alone(table: StratumTable, standard: ExternalStandard) -> World:
+    """The world an external cross-check perturbs: the table alone with its standard, never a whole cohort."""
+    return World(Cohort((table,)), standard)
+
+
+def _populated(cohort: Cohort, stratum: StratumId) -> float:
+    """Cohort-wide patients of ``stratum``, refused when there are none."""
+    n_k = cohort.stratum_count(stratum)
+    if n_k <= 0.0:
+        raise UnknownStratumError(f"stratum {stratum!r} has no patients cohort-wide")
+    return n_k
+
+
+def _exposure(table: StratumTable, before: core.SmrResult, stratum: StratumId) -> tuple[float, float, float]:
+    """``(share, share / pbar_e, -SMR * share / pbar_e)`` with ``share = n_hk / n_h``.
+
+    Against a benchmark that does not react, the last two are the marginal effects of the stratum's
+    actual and benchmark rates; an internal effect multiplies one of them by the benchmark's feedback.
+    """
+    share = table.count(stratum) / table.total_count
+    return share, share / before.expected_rate, -before.smr * share / before.expected_rate
+
+
 def _shift_report(
     table: StratumTable,
     shift: CaseMixShift,
     before: core.SmrResult,
-    after: core.SmrResult,
+    after: float,
     benchmark: str,
     benchmark_diff: float,
     zero_tol: float,
@@ -243,8 +282,8 @@ def _shift_report(
     numerator = actual_diff - benchmark_diff * before.smr
     denominator = table.total_count * before.expected_rate / shift.eta + benchmark_diff
     value = numerator / denominator
-    fd = after.smr - before.smr
-    details = {**details, "actual_diff": actual_diff, "smr_before": before.smr, "smr_after": after.smr}
+    fd = after - before.smr
+    details = {**details, "actual_diff": actual_diff, "smr_before": before.smr, "smr_after": after}
     return _report(value, zero_tol, f"(p_hk - p_hl) {{}} ({benchmark}) * SMR", fd, details, flags=flags)
 
 
@@ -254,10 +293,7 @@ def _shift_report(
 
 
 def omega_external(
-    table: StratumTable,
-    standard: ExternalStandard,
-    shift: CaseMixShift,
-    zero_tol: float = SIGN_ZERO_TOL,
+    table: StratumTable, standard: ExternalStandard, shift: CaseMixShift, zero_tol: float = SIGN_ZERO_TOL
 ) -> SensitivityReport:
     """Exact change of the external SMR under a case-mix shift.
 
@@ -273,8 +309,7 @@ def omega_external(
     before = core.smr_external(table, standard)
     if shift.eta == 0.0:
         return _unexposed("eta == 0")
-    shifted = shift_case_mix(table, shift)
-    after = core.smr_external(shifted, standard)
+    after = _ratio(_alone(table, standard), table.hospital, shift_case_mix(table, shift))
 
     k, l = shift.to_stratum, shift.from_stratum
     e_k, e_l = standard.rate(k), standard.rate(l)
@@ -301,10 +336,7 @@ def concentrated_smr_external(
 
 
 def scale_invariance_external(
-    table: StratumTable,
-    standard: ExternalStandard,
-    change: ScaleChange,
-    zero_tol: float = SIGN_ZERO_TOL,
+    table: StratumTable, standard: ExternalStandard, change: ScaleChange, zero_tol: float = SIGN_ZERO_TOL
 ) -> SensitivityReport:
     """Change of the external SMR under scaling: zero by construction.
 
@@ -312,16 +344,12 @@ def scale_invariance_external(
     difference is zero up to rounding; the report records it verbatim.
     """
     before = core.smr_external(table, standard)
-    after = core.smr_external(scale_hospital(table, change), standard)
-    value = after.smr - before.smr
+    value = _ratio(_alone(table, standard), table.hospital, scale_hospital(table, change)) - before.smr
     return _report(value, zero_tol, "scale factor cancels", value, {"factor": change.factor, "smr": before.smr})
 
 
 def me_actual_external(
-    table: StratumTable,
-    standard: ExternalStandard,
-    stratum: StratumId,
-    zero_tol: float = SIGN_ZERO_TOL,
+    table: StratumTable, standard: ExternalStandard, stratum: StratumId, zero_tol: float = SIGN_ZERO_TOL
 ) -> SensitivityReport:
     """Marginal effect of one stratum's actual rate on the external SMR.
 
@@ -332,23 +360,16 @@ def me_actual_external(
     """
     cell = table.cell(stratum)
     before = core.smr_external(table, standard)
-    share = cell.count / table.total_count
     if cell.count <= 0.0:
         return _unexposed("n_hk == 0", share=0.0)
-    value = share / before.expected_rate
-
-    def f(x: float) -> float:
-        return core.smr_external(with_rate(table, stratum, x), standard).smr
-
-    fd = _central_slope(f, cell.rate)
+    share, value, _ = _exposure(table, before, stratum)
+    world = _alone(table, standard)
+    fd = _central_slope(lambda x: _ratio(world, table.hospital, with_rate(table, stratum, x)), cell.rate)
     return _report(value, zero_tol, "n_hk > 0", fd, {"share": share, "expected_rate": before.expected_rate})
 
 
 def me_expected_external(
-    table: StratumTable,
-    standard: ExternalStandard,
-    stratum: StratumId,
-    zero_tol: float = SIGN_ZERO_TOL,
+    table: StratumTable, standard: ExternalStandard, stratum: StratumId, zero_tol: float = SIGN_ZERO_TOL
 ) -> SensitivityReport:
     """Marginal effect of one stratum's standard rate on the external SMR.
 
@@ -360,25 +381,18 @@ def me_expected_external(
     """
     cell = table.cell(stratum)
     before = core.smr_external(table, standard)
-    share = cell.count / table.total_count
     if cell.count <= 0.0:
         return _unexposed("n_hk == 0", share=0.0)
-    value = -before.smr * share / before.expected_rate
-
-    def f(x: float) -> float:
-        shifted = ExternalStandard({**standard.rates, stratum: x})
-        return core.smr_external(table, shifted).smr
-
-    fd = _central_slope(f, standard.rate(stratum))
+    share, _, value = _exposure(table, before, stratum)
+    world = _alone(table, standard)
+    p_ek = standard.rate(stratum)
+    fd = _central_slope(lambda x: _ratio(world, table.hospital, rates={**standard.rates, stratum: x}), p_ek)
     details = {"share": share, "smr": before.smr, "expected_rate": before.expected_rate}
     return _report(value, zero_tol, "n_hk > 0", fd, details)
 
 
 def dsmr_uniform_actual_external(
-    table: StratumTable,
-    standard: ExternalStandard,
-    dp: float,
-    zero_tol: float = SIGN_ZERO_TOL,
+    table: StratumTable, standard: ExternalStandard, dp: float, zero_tol: float = SIGN_ZERO_TOL
 ) -> SensitivityReport:
     """Change of the external SMR when every actual rate moves by ``dp``.
 
@@ -390,15 +404,12 @@ def dsmr_uniform_actual_external(
     """
     before = core.smr_external(table, standard)
     value = dp / before.expected_rate
-    fd = core.smr_external(_shift_all_rates(table, dp), standard).smr - before.smr
+    fd = _ratio(_alone(table, standard), table.hospital, _shift_all_rates(table, dp)) - before.smr
     return _report(value, zero_tol, "dp / pbar_e", fd, {"dp": dp, "expected_rate": before.expected_rate})
 
 
 def dsmr_uniform_expected_external(
-    table: StratumTable,
-    standard: ExternalStandard,
-    dp: float,
-    zero_tol: float = SIGN_ZERO_TOL,
+    table: StratumTable, standard: ExternalStandard, dp: float, zero_tol: float = SIGN_ZERO_TOL
 ) -> SensitivityReport:
     """Change of the external SMR when every standard rate moves by ``dp``.
 
@@ -408,10 +419,8 @@ def dsmr_uniform_expected_external(
     value = -before.smr * dp / before.expected_rate
 
     def g(eps: float) -> float:
-        shifted = ExternalStandard(
-            {sid: min(1.0, max(0.0, r + eps)) for sid, r in standard.rates.items()}
-        )
-        return core.smr_external(table, shifted).smr
+        shifted = {sid: min(1.0, max(0.0, r + eps)) for sid, r in standard.rates.items()}
+        return _ratio(_alone(table, standard), table.hospital, rates=shifted)
 
     fd = _offset_slope(g) * dp
     details = {"dp": dp, "smr": before.smr, "expected_rate": before.expected_rate}
@@ -424,10 +433,7 @@ def dsmr_uniform_expected_external(
 
 
 def omega_internal(
-    cohort: Cohort,
-    hospital: HospitalId,
-    shift: CaseMixShift,
-    zero_tol: float = SIGN_ZERO_TOL,
+    cohort: Cohort, hospital: HospitalId, shift: CaseMixShift, zero_tol: float = SIGN_ZERO_TOL
 ) -> SensitivityReport:
     """Exact change of the internal SMR under a case-mix shift.
 
@@ -450,11 +456,8 @@ def omega_internal(
     before = core.smr(table, standard, core.INTERNAL)
     if shift.eta == 0.0:
         return _unexposed("eta == 0")
-    if cohort.stratum_count(shift.to_stratum) <= 0.0:
-        raise UnknownStratumError(f"stratum {shift.to_stratum!r} has no patients cohort-wide")
-
-    shifted_cohort = cohort.with_table(shift_case_mix(table, shift))
-    after = core.smr_internal(shifted_cohort, hospital)
+    _populated(cohort, shift.to_stratum)
+    after = _ratio(World(cohort), hospital, shift_case_mix(table, shift))
 
     k, l = shift.to_stratum, shift.from_stratum
     p_hk, p_hl = table.cell(k).rate, table.cell(l).rate
@@ -488,10 +491,7 @@ def omega_internal(
 
 
 def delta_smr_scale_internal(
-    cohort: Cohort,
-    hospital: HospitalId,
-    change: ScaleChange,
-    zero_tol: float = SIGN_ZERO_TOL,
+    cohort: Cohort, hospital: HospitalId, change: ScaleChange, zero_tol: float = SIGN_ZERO_TOL
 ) -> SensitivityReport:
     """Exact change of the internal SMR when one hospital is rescaled.
 
@@ -509,7 +509,7 @@ def delta_smr_scale_internal(
     before = core.smr(table, standard_before, core.INTERNAL)
 
     scaled_table = scale_hospital(table, change)
-    standard_after = core.internal_standard(cohort.with_table(scaled_table))
+    standard_after = World(cohort).with_table(scaled_table).rates()
     after = core.smr(scaled_table, standard_after, core.INTERNAL)
 
     value = before.smr * (before.expected_rate / after.expected_rate - 1.0)
@@ -518,15 +518,8 @@ def delta_smr_scale_internal(
     directions: dict[StratumId, str] = {}
     versus_mean: dict[StratumId, str] = {}
     for sid in table.populated():
-        d = standard_before[sid] - standard_after[sid]
-        directions[sid] = classify_sign(d, zero_tol)
-        own = table.cell(sid).rate
-        gap = own - standard_before[sid]
-        versus_mean[sid] = {
-            "increase": "above mean",
-            "zero": "at mean",
-            "decrease": "below mean",
-        }[classify_sign(gap, zero_tol)]
+        directions[sid] = classify_sign(standard_before[sid] - standard_after[sid], zero_tol)
+        versus_mean[sid] = _VERSUS_MEAN[classify_sign(table.cell(sid).rate - standard_before[sid], zero_tol)]
 
     details = {
         "factor": change.factor,
@@ -556,10 +549,7 @@ def smr_internal_scale_limit(cohort: Cohort, hospital: HospitalId) -> float:
 
 
 def me_actual_internal(
-    cohort: Cohort,
-    hospital: HospitalId,
-    stratum: StratumId,
-    zero_tol: float = SIGN_ZERO_TOL,
+    cohort: Cohort, hospital: HospitalId, stratum: StratumId, zero_tol: float = SIGN_ZERO_TOL
 ) -> SensitivityReport:
     """Marginal effect of one stratum's actual rate on the internal SMR.
 
@@ -571,25 +561,18 @@ def me_actual_internal(
     and runs a high ratio sees its ratio fall when mortality rises.
     """
     table = cohort.table(hospital)
-    n_k = cohort.stratum_count(stratum)
-    if n_k <= 0.0:
-        raise UnknownStratumError(f"stratum {stratum!r} has no patients cohort-wide")
-    cell = table.cell(stratum) if stratum in table.cells else None
-    n_hk = 0.0 if cell is None else cell.count
+    n_k = _populated(cohort, stratum)
+    n_hk = table.count(stratum)
     if n_hk <= 0.0:
         return _unexposed("n_hk == 0", share=0.0)
 
     before = core.smr_internal(cohort, hospital)
-    share = n_hk / table.total_count
+    share, direct, _ = _exposure(table, before, stratum)
     own_share = n_hk / n_k
-    value = share / before.expected_rate * (1.0 - before.smr * own_share)
+    value = direct * (1.0 - before.smr * own_share)
     threshold = n_k / n_hk
-
-    def f(x: float) -> float:
-        perturbed = cohort.with_table(with_rate(table, stratum, x))
-        return core.smr_internal(perturbed, hospital).smr
-
-    fd = _central_slope(f, cell.rate)
+    world = World(cohort)
+    fd = _central_slope(lambda x: _ratio(world, hospital, with_rate(table, stratum, x)), table.rate(stratum))
     details = {
         "share": share,
         "own_share": own_share,
@@ -601,10 +584,7 @@ def me_actual_internal(
 
 
 def dsmr_uniform_actual_internal(
-    cohort: Cohort,
-    hospital: HospitalId,
-    dp: float,
-    zero_tol: float = SIGN_ZERO_TOL,
+    cohort: Cohort, hospital: HospitalId, dp: float, zero_tol: float = SIGN_ZERO_TOL
 ) -> SensitivityReport:
     """Change of the internal SMR when all of a hospital's rates move by ``dp``.
 
@@ -629,34 +609,22 @@ def dsmr_uniform_actual_internal(
     value = dp / before.expected_rate * (1.0 - before.smr * overlap)
     threshold = 1.0 / overlap if overlap > 0.0 else float("inf")
 
-    def g(eps: float) -> float:
-        perturbed = cohort.with_table(_shift_all_rates(table, eps))
-        return core.smr_internal(perturbed, hospital).smr
-
-    fd = _offset_slope(g) * dp
+    world = World(cohort)
+    fd = _offset_slope(lambda eps: _ratio(world, hospital, _shift_all_rates(table, eps))) * dp
+    details = {
+        "dp": dp,
+        "overlap": overlap,
+        "threshold": threshold,
+        "inner_denominator": "n_s",
+        "smr": before.smr,
+        "expected_rate": before.expected_rate,
+    }
     branch = classify_sign(1.0 - before.smr * overlap, zero_tol)
-    return SensitivityReport(
-        value,
-        classify_sign(value, zero_tol),
-        f"SMR {_FLIPPED[branch]} 1/overlap",
-        fd_check=fd,
-        details={
-            "dp": dp,
-            "overlap": overlap,
-            "threshold": threshold,
-            "inner_denominator": "n_s",
-            "smr": before.smr,
-            "expected_rate": before.expected_rate,
-        },
-    )
+    return _report(value, zero_tol, f"SMR {_FLIPPED[branch]} 1/overlap", fd, details)
 
 
 def dsmr_expected_internal(
-    cohort: Cohort,
-    hospital: HospitalId,
-    stratum: StratumId,
-    dpe: float,
-    zero_tol: float = SIGN_ZERO_TOL,
+    cohort: Cohort, hospital: HospitalId, stratum: StratumId, dpe: float, zero_tol: float = SIGN_ZERO_TOL
 ) -> SensitivityReport:
     """Change of the internal SMR for an exogenous benchmark shift ``dpe``.
 
@@ -670,17 +638,13 @@ def dsmr_expected_internal(
     table = cohort.table(hospital)
     standard = core.internal_standard(cohort)
     before = core.smr(table, standard, core.INTERNAL)
-    n_hk = table.count(stratum)
-    if n_hk <= 0.0:
+    if table.count(stratum) <= 0.0:
         return _unexposed("n_hk == 0", share=0.0)
-    share = n_hk / table.total_count
-    value = -before.smr * share / before.expected_rate * dpe
-
-    def g(eps: float) -> float:
-        shifted = {**standard, stratum: standard[stratum] + eps}
-        return before.actual_rate / core.expected_rate(table, shifted)
-
-    fd = _offset_slope(g) * dpe
+    share, _, effect = _exposure(table, before, stratum)
+    value = effect * dpe
+    world = World(cohort)
+    p_ek = standard[stratum]
+    fd = _offset_slope(lambda eps: _ratio(world, hospital, rates={**standard, stratum: p_ek + eps})) * dpe
     details = {
         "dpe": dpe,
         "share_factor": "n_hk/n_h",
@@ -690,15 +654,11 @@ def dsmr_expected_internal(
     }
     # The condition is the exact relation of dpe to 0; only the sign sees zero_tol.
     condition = "dpe == 0" if dpe == 0.0 else f"dpe {_REL[classify_sign(dpe, 0.0)]} 0 with n_hk > 0"
-    return SensitivityReport(value, classify_sign(value, zero_tol), condition, fd, details)
+    return _report(value, zero_tol, condition, fd, details)
 
 
 def me_cross_hospital_internal(
-    cohort: Cohort,
-    hospital: HospitalId,
-    other: HospitalId,
-    stratum: StratumId,
-    zero_tol: float = SIGN_ZERO_TOL,
+    cohort: Cohort, hospital: HospitalId, other: HospitalId, stratum: StratumId, zero_tol: float = SIGN_ZERO_TOL
 ) -> SensitivityReport:
     """Marginal effect of another hospital's stratum rate on this hospital's SMR.
 
@@ -714,9 +674,7 @@ def me_cross_hospital_internal(
         raise SameHospitalError("cross-hospital effect needs two distinct hospitals")
     table = cohort.table(hospital)
     other_table = cohort.table(other)
-    n_k = cohort.stratum_count(stratum)
-    if n_k <= 0.0:
-        raise UnknownStratumError(f"stratum {stratum!r} has no patients cohort-wide")
+    n_k = _populated(cohort, stratum)
     n_hk = table.count(stratum)
     n_ik = other_table.count(stratum)
     standard_derivative = n_ik / n_k
@@ -726,14 +684,11 @@ def me_cross_hospital_internal(
         return _unexposed(which, standard_derivative=standard_derivative)
 
     before = core.smr_internal(cohort, hospital)
-    share = n_hk / table.total_count
-    value = -before.smr * share / before.expected_rate * standard_derivative
-
-    def f(x: float) -> float:
-        perturbed = cohort.with_table(with_rate(other_table, stratum, x))
-        return core.smr_internal(perturbed, hospital).smr
-
-    fd = _central_slope(f, other_table.cell(stratum).rate)
+    share, _, effect = _exposure(table, before, stratum)
+    value = effect * standard_derivative
+    world = World(cohort)
+    p_ik = other_table.rate(stratum)
+    fd = _central_slope(lambda x: _ratio(world, hospital, with_rate(other_table, stratum, x)), p_ik)
     details = {
         "standard_derivative": standard_derivative,
         "share": share,
@@ -757,9 +712,7 @@ def standard_shift_add_patients(
     if not eta > 0.0:
         raise InvalidParameterError(f"eta must be > 0, got {eta!r}")
     table = cohort.table(hospital)
-    n_k = cohort.stratum_count(stratum)
-    if n_k <= 0.0:
-        raise UnknownStratumError(f"stratum {stratum!r} has no patients cohort-wide")
+    n_k = _populated(cohort, stratum)
     rate = table.rate(stratum)
     if rate is None:
         raise UndefinedRateError(
@@ -780,8 +733,8 @@ def _add_patients(
     """The benchmark move, cross-checked on a cohort whose stratum holds ``eta`` more patients."""
     value = standard_shift_add_patients(cohort, hospital, stratum, eta)
     table = cohort.table(hospital)
-    grown = cohort.with_table(with_cell(table, stratum, table.count(stratum) + eta, table.rate(stratum)))
-    fd = core.internal_standard(grown)[stratum] - core.internal_standard(cohort)[stratum]
+    grown = with_cell(table, stratum, table.count(stratum) + eta, table.rate(stratum))
+    fd = World(cohort).with_table(grown).rates()[stratum] - core.internal_standard(cohort)[stratum]
     return _report(value, zero_tol, "p_ik vs stratum mean", fd, {"eta": eta})
 
 

@@ -681,6 +681,23 @@ class TestSmr:
             core.smr(table, {"1": 0.0, "2": 0.0}, "external")
 
 
+class TestWorldWithTable:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_the_benchmark_follows_the_swapped_table_only_when_internal(self, seed):
+        rng = Random(seed)
+        cohort, strata = random_cohort(rng)
+        standard = random_standard(rng, strata)
+        table = scale_hospital(rng.choice(cohort.hospitals), ScaleChange(10.0 ** rng.uniform(-1.0, 1.0)))
+        swapped = cohort.with_table(table)
+        inner = core.World(cohort).with_table(table)
+        assert inner.standard is None and inner.cohort.hospitals == swapped.hospitals
+        assert inner.rates() == internal_standard(Cohort(swapped.hospitals))
+        outer = core.World(cohort, standard).with_table(table)
+        assert outer.standard is standard and outer.rates() is standard.rates
+        assert outer.cohort.table(table.hospital) is table
+
+
 class TestInvariants:
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
