@@ -133,7 +133,7 @@ class StratumCell:
         if type(count) is not float or not 0.0 <= count < inf:
             count = _as_float(count, "patient count")
             if not 0.0 <= count < inf:
-                raise InvalidParameterError(f"patient count must be >= 0, got {self.count!r}")
+                raise InvalidParameterError(f"patient count must be finite and >= 0, got {self.count!r}")
             object.__setattr__(self, "count", count)
         if rate is None:
             if count > 0.0:

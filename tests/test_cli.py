@@ -155,6 +155,17 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "overflow a float" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("scheme", ["internal", "external"])
+    def test_scaled_count_beyond_the_float_range_is_data_error(self, scheme, tmp_path, capsys):
+        hospitals = tmp_path / "h.csv"
+        hospitals.write_text(TWO_HOSPITAL_CSV)
+        standard = tmp_path / "s.csv"
+        standard.write_text(FLAT_STANDARD_CSV)
+        argv = ["sensitivity", "--hospitals", str(hospitals), "--scheme", scheme,
+                "--analysis", "scale", "--hospital", "H1", "--lambda", "1e308"]
+        assert main(argv + (["--standard", str(standard)] if scheme == "external" else [])) == 1
+        assert capsys.readouterr().err == "error: patient count must be finite and >= 0, got inf\n"
+
 
 class TestIngestValidation:
     def test_populated_row_without_rate(self, tmp_path, capsys):
@@ -641,6 +652,18 @@ class TestNonFiniteOptions:
             main(argv + [option, value])
         assert exc.value.code == 2
         assert f"argument {option}: must be a finite number, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "-1e-300", "-inf"])
+    def test_negative_tolerance_is_usage_error(self, value, table2, capsys):
+        # a negative band would classify a value of exactly 0 as a decrease
+        hospitals, standard = table2
+        with pytest.raises(SystemExit) as exc:
+            main(["sensitivity", "--hospitals", str(hospitals), "--standard", str(standard), "--scheme", "external",
+                  "--analysis", "uniform-actual", "--hospital", "H1", "--dp", "0", f"--tolerance={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        want = "must be a finite number" if value == "-inf" else "must be >= 0"
+        assert f"argument --tolerance: {want}, got {value!r}" in err
 
     def test_unparsable_value_keeps_its_message(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -533,7 +533,7 @@ def _reference_rate(rate, what):
 def _reference_cell(count, rate):
     converted = float(count)
     if not (math.isfinite(converted) and converted >= 0.0):
-        raise InvalidParameterError(f"patient count must be >= 0, got {count!r}")
+        raise InvalidParameterError(f"patient count must be finite and >= 0, got {count!r}")
     if rate is None:
         if converted > 0.0:
             raise InvalidParameterError("populated stratum needs a mortality rate")
