@@ -48,7 +48,7 @@ from smr_axioms.errors import (
     ZeroExpectedRateError,
 )
 from smr_axioms.scenarios import ScenarioSpec, build_scenario
-from smr_axioms.sensitivity import ANALYSES, SIGN_ZERO_TOL, cross_check
+from smr_axioms.sensitivity import ANALYSES, SIGN_ZERO_TOL, classify_sign, cross_check
 
 from test_golden import SENSITIVITY_RUNS
 from worlds import populated_strata, random_cohort, random_standard
@@ -76,6 +76,16 @@ def casemix_int_world(eta=0.0):
 def actual_int_world(p11, w11):
     spec = ScenarioSpec("actual-int", (p11,), {"w11": w11})
     return build_scenario(spec, p11)
+
+
+class TestClassifySign:
+    @pytest.mark.parametrize(
+        "value, zero_tol, sign",
+        [(1e-12, SIGN_ZERO_TOL, "zero"), (-1e-12, SIGN_ZERO_TOL, "zero"), (0.0, 0.0, "zero"), (-0.0, 0.0, "zero"),
+         (2e-12, SIGN_ZERO_TOL, "increase"), (-2e-12, SIGN_ZERO_TOL, "decrease"), (5e-324, 0.0, "increase")],
+    )
+    def test_the_zero_band_includes_its_edge(self, value, zero_tol, sign):
+        assert classify_sign(value, zero_tol) == sign
 
 
 class TestShiftCaseMix:
@@ -474,6 +484,18 @@ class TestMarginalEffectsInternal:
         report = dsmr_uniform_actual_internal(cohort, "A", 0.01)
         assert report.sign == "zero"
         assert abs(report.value) <= EXACT_TOL
+
+    def test_uniform_internal_skips_a_stratum_empty_cohort_wide(self):
+        cohort = Cohort.build({"H1": {"1": (10.0, 0.2), "2": (0.0, None)}, "H2": {"1": (5.0, 0.1), "2": (0.0, 0.4)}})
+        report = dsmr_uniform_actual_internal(cohort, "H1", 0.01)
+        assert report.details["overlap"] == 10.0 / 15.0 and agrees(report)
+
+    def test_uniform_internal_overlap_that_underflows_has_no_threshold(self):
+        # (n_hs / n_h) * (n_hs / n_s) = 1 * 1e-400 rounds to 0.0: the benchmark cannot feel the hospital
+        cohort = Cohort.build({"H1": {"1": (1e-200, 0.3)}, "H2": {"1": (1e200, 0.1)}})
+        report = dsmr_uniform_actual_internal(cohort, "H1", 0.01)
+        assert report.details["overlap"] == 0.0 and report.details["threshold"] == float("inf")
+        assert report.value == 0.01 / report.details["expected_rate"] and agrees(report)
 
 
 class TestExpectedAndCrossInternal:
