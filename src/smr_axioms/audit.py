@@ -433,8 +433,7 @@ def _internal_dominance_probes() -> list[PairProbe]:
     h3 = world.cohort.table("H3")
     # H3 treats nobody in stratum 1; a supplied rate (tied with H1's
     # 1.0) makes the pair comparable without touching any ratio.
-    patched = world.cohort.with_table(with_cell(h3, "1", 0.0, 1.0))
-    return [PairProbe(World(patched), "H3", "H1", "dominates")]
+    return [PairProbe(world.with_table(with_cell(h3, "1", 0.0, 1.0)), "H3", "H1", "dominates")]
 
 
 #: (axiom, scheme) -> builder of its hand-built probes, called once per audited cell.

@@ -65,14 +65,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of ``--tolerance``: a finite number, never below zero."""
-    value = _finite(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
-
-
 #: sensitivity option -> its key in the ``parameters`` payload, metavar and argparse type.
 SENSITIVITY_OPTIONS = {
     "--hospital": ("hospital_id", "ID", None),
@@ -120,7 +112,7 @@ def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
                             required=True)
         for option, (key, metavar, kind) in SENSITIVITY_OPTIONS.items():
             p_sens.add_argument(option, dest=key, metavar=metavar, type=kind)
-        p_sens.add_argument("--tolerance", type=_tolerance, default=sensitivity.SIGN_ZERO_TOL,
+        p_sens.add_argument("--tolerance", type=_finite, default=sensitivity.SIGN_ZERO_TOL,
                             help="zero-classification tolerance (default %(default)s)")
 
     if "audit" in wanted:
@@ -182,6 +174,8 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import sensitivity
+    if args.tolerance < 0.0:  # a negative band would report an exact 0 as a decrease
+        parser.error(f"argument --tolerance: must be >= 0, got {args.tolerance!r}")
     cohort, standard = ingest(args.hospitals, args.standard)
     world = core.World(cohort, standard if args.scheme == core.EXTERNAL else None)
     if world.scheme != args.scheme:

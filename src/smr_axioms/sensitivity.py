@@ -239,11 +239,6 @@ def _ratio(
     return core.smr(world.cohort.table(hospital), world.rates() if rates is None else rates, world.scheme).smr
 
 
-def _alone(table: StratumTable, standard: ExternalStandard) -> World:
-    """The world an external cross-check perturbs: the table alone with its standard, never a whole cohort."""
-    return World(Cohort((table,)), standard)
-
-
 def _populated(cohort: Cohort, stratum: StratumId) -> float:
     """Cohort-wide patients of ``stratum``, refused when there are none."""
     n_k = cohort.stratum_count(stratum)
@@ -253,11 +248,7 @@ def _populated(cohort: Cohort, stratum: StratumId) -> float:
 
 
 def _exposure(table: StratumTable, before: core.SmrResult, stratum: StratumId) -> tuple[float, float, float]:
-    """``(share, share / pbar_e, -SMR * share / pbar_e)`` with ``share = n_hk / n_h``.
-
-    Against a benchmark that does not react, the last two are the marginal effects of the stratum's
-    actual and benchmark rates; an internal effect multiplies one of them by the benchmark's feedback.
-    """
+    """``share = n_hk / n_h`` and the effects, against a fixed benchmark, of p_hk and of p_ek on the SMR."""
     share = table.count(stratum) / table.total_count
     return share, share / before.expected_rate, -before.smr * share / before.expected_rate
 
@@ -293,7 +284,10 @@ def _shift_report(
 
 
 def omega_external(
-    table: StratumTable, standard: ExternalStandard, shift: CaseMixShift, zero_tol: float = SIGN_ZERO_TOL
+    table: StratumTable,
+    standard: ExternalStandard,
+    shift: CaseMixShift,
+    zero_tol: float = SIGN_ZERO_TOL,
 ) -> SensitivityReport:
     """Exact change of the external SMR under a case-mix shift.
 
@@ -309,7 +303,7 @@ def omega_external(
     before = core.smr_external(table, standard)
     if shift.eta == 0.0:
         return _unexposed("eta == 0")
-    after = _ratio(_alone(table, standard), table.hospital, shift_case_mix(table, shift))
+    after = _ratio(World(Cohort((table,)), standard), table.hospital, shift_case_mix(table, shift))
 
     k, l = shift.to_stratum, shift.from_stratum
     e_k, e_l = standard.rate(k), standard.rate(l)
@@ -336,7 +330,10 @@ def concentrated_smr_external(
 
 
 def scale_invariance_external(
-    table: StratumTable, standard: ExternalStandard, change: ScaleChange, zero_tol: float = SIGN_ZERO_TOL
+    table: StratumTable,
+    standard: ExternalStandard,
+    change: ScaleChange,
+    zero_tol: float = SIGN_ZERO_TOL,
 ) -> SensitivityReport:
     """Change of the external SMR under scaling: zero by construction.
 
@@ -344,12 +341,15 @@ def scale_invariance_external(
     difference is zero up to rounding; the report records it verbatim.
     """
     before = core.smr_external(table, standard)
-    value = _ratio(_alone(table, standard), table.hospital, scale_hospital(table, change)) - before.smr
+    value = _ratio(World(Cohort((table,)), standard), table.hospital, scale_hospital(table, change)) - before.smr
     return _report(value, zero_tol, "scale factor cancels", value, {"factor": change.factor, "smr": before.smr})
 
 
 def me_actual_external(
-    table: StratumTable, standard: ExternalStandard, stratum: StratumId, zero_tol: float = SIGN_ZERO_TOL
+    table: StratumTable,
+    standard: ExternalStandard,
+    stratum: StratumId,
+    zero_tol: float = SIGN_ZERO_TOL,
 ) -> SensitivityReport:
     """Marginal effect of one stratum's actual rate on the external SMR.
 
@@ -363,13 +363,16 @@ def me_actual_external(
     if cell.count <= 0.0:
         return _unexposed("n_hk == 0", share=0.0)
     share, value, _ = _exposure(table, before, stratum)
-    world = _alone(table, standard)
+    world = World(Cohort((table,)), standard)
     fd = _central_slope(lambda x: _ratio(world, table.hospital, with_rate(table, stratum, x)), cell.rate)
     return _report(value, zero_tol, "n_hk > 0", fd, {"share": share, "expected_rate": before.expected_rate})
 
 
 def me_expected_external(
-    table: StratumTable, standard: ExternalStandard, stratum: StratumId, zero_tol: float = SIGN_ZERO_TOL
+    table: StratumTable,
+    standard: ExternalStandard,
+    stratum: StratumId,
+    zero_tol: float = SIGN_ZERO_TOL,
 ) -> SensitivityReport:
     """Marginal effect of one stratum's standard rate on the external SMR.
 
@@ -384,7 +387,7 @@ def me_expected_external(
     if cell.count <= 0.0:
         return _unexposed("n_hk == 0", share=0.0)
     share, _, value = _exposure(table, before, stratum)
-    world = _alone(table, standard)
+    world = World(Cohort((table,)), standard)
     p_ek = standard.rate(stratum)
     fd = _central_slope(lambda x: _ratio(world, table.hospital, rates={**standard.rates, stratum: x}), p_ek)
     details = {"share": share, "smr": before.smr, "expected_rate": before.expected_rate}
@@ -392,7 +395,10 @@ def me_expected_external(
 
 
 def dsmr_uniform_actual_external(
-    table: StratumTable, standard: ExternalStandard, dp: float, zero_tol: float = SIGN_ZERO_TOL
+    table: StratumTable,
+    standard: ExternalStandard,
+    dp: float,
+    zero_tol: float = SIGN_ZERO_TOL,
 ) -> SensitivityReport:
     """Change of the external SMR when every actual rate moves by ``dp``.
 
@@ -404,12 +410,15 @@ def dsmr_uniform_actual_external(
     """
     before = core.smr_external(table, standard)
     value = dp / before.expected_rate
-    fd = _ratio(_alone(table, standard), table.hospital, _shift_all_rates(table, dp)) - before.smr
+    fd = _ratio(World(Cohort((table,)), standard), table.hospital, _shift_all_rates(table, dp)) - before.smr
     return _report(value, zero_tol, "dp / pbar_e", fd, {"dp": dp, "expected_rate": before.expected_rate})
 
 
 def dsmr_uniform_expected_external(
-    table: StratumTable, standard: ExternalStandard, dp: float, zero_tol: float = SIGN_ZERO_TOL
+    table: StratumTable,
+    standard: ExternalStandard,
+    dp: float,
+    zero_tol: float = SIGN_ZERO_TOL,
 ) -> SensitivityReport:
     """Change of the external SMR when every standard rate moves by ``dp``.
 
@@ -420,7 +429,7 @@ def dsmr_uniform_expected_external(
 
     def g(eps: float) -> float:
         shifted = {sid: min(1.0, max(0.0, r + eps)) for sid, r in standard.rates.items()}
-        return _ratio(_alone(table, standard), table.hospital, rates=shifted)
+        return _ratio(World(Cohort((table,)), standard), table.hospital, rates=shifted)
 
     fd = _offset_slope(g) * dp
     details = {"dp": dp, "smr": before.smr, "expected_rate": before.expected_rate}
@@ -433,7 +442,10 @@ def dsmr_uniform_expected_external(
 
 
 def omega_internal(
-    cohort: Cohort, hospital: HospitalId, shift: CaseMixShift, zero_tol: float = SIGN_ZERO_TOL
+    cohort: Cohort,
+    hospital: HospitalId,
+    shift: CaseMixShift,
+    zero_tol: float = SIGN_ZERO_TOL,
 ) -> SensitivityReport:
     """Exact change of the internal SMR under a case-mix shift.
 
@@ -491,7 +503,10 @@ def omega_internal(
 
 
 def delta_smr_scale_internal(
-    cohort: Cohort, hospital: HospitalId, change: ScaleChange, zero_tol: float = SIGN_ZERO_TOL
+    cohort: Cohort,
+    hospital: HospitalId,
+    change: ScaleChange,
+    zero_tol: float = SIGN_ZERO_TOL,
 ) -> SensitivityReport:
     """Exact change of the internal SMR when one hospital is rescaled.
 
@@ -549,7 +564,10 @@ def smr_internal_scale_limit(cohort: Cohort, hospital: HospitalId) -> float:
 
 
 def me_actual_internal(
-    cohort: Cohort, hospital: HospitalId, stratum: StratumId, zero_tol: float = SIGN_ZERO_TOL
+    cohort: Cohort,
+    hospital: HospitalId,
+    stratum: StratumId,
+    zero_tol: float = SIGN_ZERO_TOL,
 ) -> SensitivityReport:
     """Marginal effect of one stratum's actual rate on the internal SMR.
 
@@ -584,7 +602,10 @@ def me_actual_internal(
 
 
 def dsmr_uniform_actual_internal(
-    cohort: Cohort, hospital: HospitalId, dp: float, zero_tol: float = SIGN_ZERO_TOL
+    cohort: Cohort,
+    hospital: HospitalId,
+    dp: float,
+    zero_tol: float = SIGN_ZERO_TOL,
 ) -> SensitivityReport:
     """Change of the internal SMR when all of a hospital's rates move by ``dp``.
 
@@ -609,8 +630,7 @@ def dsmr_uniform_actual_internal(
     value = dp / before.expected_rate * (1.0 - before.smr * overlap)
     threshold = 1.0 / overlap if overlap > 0.0 else float("inf")
 
-    world = World(cohort)
-    fd = _offset_slope(lambda eps: _ratio(world, hospital, _shift_all_rates(table, eps))) * dp
+    fd = _offset_slope(lambda eps: _ratio(World(cohort), hospital, _shift_all_rates(table, eps))) * dp
     details = {
         "dp": dp,
         "overlap": overlap,
@@ -624,7 +644,11 @@ def dsmr_uniform_actual_internal(
 
 
 def dsmr_expected_internal(
-    cohort: Cohort, hospital: HospitalId, stratum: StratumId, dpe: float, zero_tol: float = SIGN_ZERO_TOL
+    cohort: Cohort,
+    hospital: HospitalId,
+    stratum: StratumId,
+    dpe: float,
+    zero_tol: float = SIGN_ZERO_TOL,
 ) -> SensitivityReport:
     """Change of the internal SMR for an exogenous benchmark shift ``dpe``.
 
@@ -658,7 +682,11 @@ def dsmr_expected_internal(
 
 
 def me_cross_hospital_internal(
-    cohort: Cohort, hospital: HospitalId, other: HospitalId, stratum: StratumId, zero_tol: float = SIGN_ZERO_TOL
+    cohort: Cohort,
+    hospital: HospitalId,
+    other: HospitalId,
+    stratum: StratumId,
+    zero_tol: float = SIGN_ZERO_TOL,
 ) -> SensitivityReport:
     """Marginal effect of another hospital's stratum rate on this hospital's SMR.
 

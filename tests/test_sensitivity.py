@@ -486,7 +486,8 @@ class TestMarginalEffectsInternal:
         assert abs(report.value) <= EXACT_TOL
 
     def test_uniform_internal_skips_a_stratum_empty_cohort_wide(self):
-        cohort = Cohort.build({"H1": {"1": (10.0, 0.2), "2": (0.0, None)}, "H2": {"1": (5.0, 0.1), "2": (0.0, 0.4)}})
+        cohort = Cohort.build({"H1": {"1": (10.0, 0.2), "2": (0.0, None)},
+                               "H2": {"1": (5.0, 0.1), "2": (0.0, 0.4)}})
         report = dsmr_uniform_actual_internal(cohort, "H1", 0.01)
         assert report.details["overlap"] == 10.0 / 15.0 and agrees(report)
 
