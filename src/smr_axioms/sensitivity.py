@@ -87,8 +87,6 @@ FD_REL_TOL = 1e-5
 #: where an increase puts the SMR below a threshold.
 _REL = {"increase": ">", "zero": "==", "decrease": "<"}
 _FLIPPED = {"increase": "<", "zero": "==", "decrease": ">"}
-#: A hospital's stratum rate against the benchmark, by the sign of their difference.
-_VERSUS_MEAN = {"increase": "above mean", "zero": "at mean", "decrease": "below mean"}
 
 
 @dataclass(frozen=True)
@@ -533,8 +531,15 @@ def delta_smr_scale_internal(
     directions: dict[StratumId, str] = {}
     versus_mean: dict[StratumId, str] = {}
     for sid in table.populated():
-        directions[sid] = classify_sign(standard_before[sid] - standard_after[sid], zero_tol)
-        versus_mean[sid] = _VERSUS_MEAN[classify_sign(table.cell(sid).rate - standard_before[sid], zero_tol)]
+        d = standard_before[sid] - standard_after[sid]
+        directions[sid] = classify_sign(d, zero_tol)
+        own = table.cell(sid).rate
+        gap = own - standard_before[sid]
+        versus_mean[sid] = {
+            "increase": "above mean",
+            "zero": "at mean",
+            "decrease": "below mean",
+        }[classify_sign(gap, zero_tol)]
 
     details = {
         "factor": change.factor,
