@@ -6,13 +6,15 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smr_axioms import sensitivity
 from smr_axioms.cli import main
-from smr_axioms.core import EXACT_TOL
-from smr_axioms.csvio import emit_hospitals, emit_standard, ingest, load_hospitals
+from smr_axioms.core import EXACT_TOL, Cohort, StratumCell, StratumTable
+from smr_axioms.csvio import HOSPITALS_HEADER, emit_hospitals, emit_standard, ingest, load_hospitals, load_standard
 from smr_axioms.errors import ParseError, ValidationError
 from smr_axioms.report import cohort_payload, inputs_digest, standard_payload
+from math import isfinite
 
 from worlds import random_cohort, random_standard
 
@@ -232,6 +234,102 @@ class TestIngestValidation:
         with pytest.raises(error) as exc:
             ingest(hospitals, standard)
         assert exc.value.row == row
+
+
+    @pytest.mark.parametrize("text, rate", [("0", 0.0), ("1", 1.0), ("-0", -0.0)])
+    def test_standard_rate_at_the_bounds(self, text, rate, tmp_path):
+        standard = tmp_path / "s.csv"
+        standard.write_text(f"stratum_id,expected_rate\n1,{text}\n")
+        loaded = load_standard(standard).rates["1"]
+        assert loaded == rate and str(loaded) == str(rate)
+
+
+# ``load_hospitals`` and its helpers as they stood while the loader checked
+# every value itself before building the cell; the property below holds the
+# current loader to it, file for file.
+def _reference_parse_float(text: str, row: int, column: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(row, column, f"not a number: {text!r}") from None
+    if not isfinite(value):
+        raise ParseError(row, column, f"not finite: {text!r}")
+    return value
+
+
+def _reference_check_header(got, want, path):
+    if got is None or [c.strip() for c in got] != want:
+        raise ParseError(1, ",".join(want), f"{path}: header must be {','.join(want)!r}")
+
+
+def _reference_load_hospitals(path):
+    tables = {}
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        _reference_check_header(next(reader, None), HOSPITALS_HEADER, str(path))
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ParseError(row_no, "*", f"expected 4 fields, got {len(row)}")
+            hospital, stratum, patients_text, rate_text = map(str.strip, row)
+            if not hospital or not stratum:
+                raise ValidationError(row_no, "hospital_id and stratum_id must be non-empty")
+            patients = _reference_parse_float(patients_text, row_no, "patients")
+            if patients < 0.0:
+                raise ValidationError(row_no, f"patients must be >= 0, got {patients}")
+            if rate_text == "":
+                rate = None
+                if patients > 0.0:
+                    raise ValidationError(row_no, "populated stratum needs a mortality_rate")
+            else:
+                rate = _reference_parse_float(rate_text, row_no, "mortality_rate")
+                if not 0.0 <= rate <= 1.0:
+                    raise ValidationError(row_no, f"mortality_rate must be in [0, 1], got {rate}")
+            cells = tables.get(hospital)
+            if cells is None:
+                cells = tables[hospital] = {}
+            elif stratum in cells:
+                raise ValidationError(row_no, f"duplicate ({hospital!r}, {stratum!r})")
+            cells[stratum] = StratumCell(patients, rate)
+    if not tables:
+        raise ValidationError(1, "no hospital rows")
+    return Cohort(tuple(StratumTable(h, cells) for h, cells in tables.items()))
+
+
+def _ingest_outcome(load, path):
+    """The cohort a loader built, with every float's bits, or its refusal: type, row and message."""
+    try:
+        cohort = load(path)
+    except (ParseError, ValidationError) as err:
+        return type(err), err.row, str(err)
+    return [
+        (t.hospital, [(sid, c.count.hex(), c.rate if c.rate is None else c.rate.hex()) for sid, c in t.cells.items()])
+        for t in cohort.hospitals
+    ]
+
+
+_IDS = ["H1", " H1 ", "H2", "S1", ""]
+_VALUES = ["", " 5 ", "-0", "0", "1", "1.5", "-1", "nan", "inf", "1e400", "x", "0.25"]
+# Any 3-5 fields; four fields in place; or a row that mostly loads, so that later rows are reached.
+_ROWS = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(_IDS + _VALUES), min_size=3, max_size=5),
+        st.tuples(*[st.sampled_from(_IDS)] * 2, *[st.sampled_from(_VALUES)] * 2).map(list),
+        st.tuples(*[st.sampled_from(_IDS[:4])] * 2, st.sampled_from(["0", "-0", " 5 ", "1.5"]),
+                  st.sampled_from(["", "0", "-0", "1", "0.25"])).map(list),
+    ),
+    max_size=5,
+)
+
+
+class TestIngestMatchesReference:
+    @given(rows=_ROWS)
+    @settings(max_examples=500, deadline=None)
+    def test_same_cohort_or_same_refusal(self, rows, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "ingest_property.csv"
+        path.write_text("\n".join([",".join(HOSPITALS_HEADER), *map(",".join, rows)]) + "\n", encoding="utf-8")
+        assert _ingest_outcome(load_hospitals, path) == _ingest_outcome(_reference_load_hospitals, path)
 
 
 class TestSensitivityCommand:
@@ -665,6 +763,17 @@ class TestNonFiniteOptions:
                   "--analysis", "uniform-actual", "--hospital", "H1", "--dp", "0", f"--tolerance={value}"])
         assert exc.value.code == 2
         assert f"argument --tolerance: {message}" in capsys.readouterr().err
+
+    def test_negative_exponent_form_needs_an_equals_sign(self, table2, capsys):
+        hospitals, standard = table2
+        argv = ["sensitivity", "--hospitals", str(hospitals), "--standard", str(standard), "--scheme", "external",
+                "--analysis", "uniform-actual", "--hospital", "H1"]
+        code, payload = run_json(capsys, argv + ["--dp=-1e-3"])
+        assert code == 0 and payload["results"]["parameters"]["dp"] == -0.001
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--dp", "-1e-3"])
+        assert exc.value.code == 2
+        assert "argument --dp: expected one argument" in capsys.readouterr().err
 
     def test_unparsable_value_keeps_its_message(self, capsys):
         with pytest.raises(SystemExit) as exc:

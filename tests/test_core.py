@@ -1,6 +1,9 @@
 """Core model: rates, standards and the two ratio variants."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from collections.abc import Mapping
 from random import Random
 
@@ -122,7 +125,7 @@ class TestSmrExternal:
 
     def test_zero_expected_rate_refused(self):
         standard = ExternalStandard({"1": 0.0, "2": 0.0})
-        with pytest.raises(ZeroExpectedRateError):
+        with pytest.raises(ZeroExpectedRateError, match="zero expected mortality under the standard$"):
             smr_external(TWO_STRATA_TABLE, standard)
 
     def test_zero_standard_rate_on_one_stratum_allowed(self):
@@ -465,7 +468,7 @@ class TestSmrInternal:
 
     def test_zero_expected_refused(self):
         cohort = Cohort.build({"A": {"1": (5.0, 0.0)}, "B": {"1": (5.0, 0.0)}})
-        with pytest.raises(ZeroExpectedRateError):
+        with pytest.raises(ZeroExpectedRateError, match="zero expected mortality under the internal benchmark$"):
             smr_internal(cohort, "A")
 
 
@@ -486,6 +489,16 @@ class TestValidation:
         t = StratumTable.build("A", {"1": (1.0, 0.1)})
         with pytest.raises(InvalidParameterError):
             Cohort((t, t))
+
+    def test_duplicate_hospital_message_names_the_duplicate(self):
+        a, b = (StratumTable.build(h, {"1": (1.0, 0.1)}) for h in ("A", "B"))
+        with pytest.raises(InvalidParameterError, match="^duplicate hospital id 'B'$"):
+            Cohort((a, b, b))
+
+    def test_one_element_cell_leaves_the_rate_undefined(self):
+        assert StratumTable.build("H", {"1": (0.0,)}).cells == {"1": StratumCell(0.0, None)}
+        with pytest.raises(InvalidParameterError, match="populated stratum needs a mortality rate"):
+            StratumTable.build("H", {"1": (5.0,)})
 
     def test_standard_rate_range(self):
         with pytest.raises(InvalidParameterError):
@@ -622,6 +635,39 @@ class TestValidationMatchesReference:
         cell = StratumCell(_Float(2.0), True)
         assert type(cell.count) is float and type(cell.rate) is float
         assert type(ExternalStandard({"1": 1}).rates["1"]) is float
+
+
+class TestCellContract:
+    """What callers may rely on in a ``StratumCell``, however it is laid out."""
+
+    CELL = StratumCell(12.0, 0.25)
+
+    def test_assignment_is_refused(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.CELL.count = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.CELL.rate = None
+
+    def test_equality_and_hash_follow_the_fields(self):
+        assert self.CELL == StratumCell(12, 0.25) and self.CELL != StratumCell(12.0, 0.5)
+        assert hash(self.CELL) == hash(StratumCell(12.0, 0.25)) == hash((12.0, 0.25))
+        assert StratumCell(0.0) == StratumCell(0.0, None) and hash(StratumCell(0.0)) == hash((0.0, None))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda cell: pickle.loads(pickle.dumps(cell)), dataclasses.replace],
+        ids=["copy", "deepcopy", "pickle", "replace"],
+    )
+    def test_copies_are_equal_cells(self, clone):
+        for cell in (self.CELL, StratumCell(0.0), StratumCell(-0.0, -0.0)):
+            twin = clone(cell)
+            assert type(twin) is StratumCell and twin == cell
+            assert (_bits(twin.count), _bits(twin.rate)) == (_bits(cell.count), _bits(cell.rate))
+
+    def test_replace_validates(self):
+        assert dataclasses.replace(self.CELL, rate=0.5) == StratumCell(12.0, 0.5)
+        with pytest.raises(InvalidParameterError):
+            dataclasses.replace(self.CELL, rate=None)
 
 
 class TestSmrAll:
