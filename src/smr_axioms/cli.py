@@ -114,6 +114,7 @@ def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
             p_sens.add_argument(option, dest=key, metavar=metavar, type=kind)
         p_sens.add_argument("--tolerance", type=_finite, default=sensitivity.SIGN_ZERO_TOL,
                             help="zero-classification tolerance (default %(default)s)")
+        p_sens.epilog = "A negative number in exponent form must follow '=', as in --dp=-1e-3."
 
     if "audit" in wanted:
         from . import audit
@@ -135,6 +136,7 @@ def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         p_scen.add_argument("--max", dest="grid_max", type=_finite)
         p_scen.add_argument("--step", dest="grid_step", type=_finite)
         p_scen.add_argument("--check-claims", dest="check_claims", action="store_true")
+        p_scen.epilog = "A negative number in exponent form must follow '=', as in --min=-1e-3."
     return parser
 
 

@@ -43,9 +43,10 @@ aggregations) or leave it undefined. A zero expected rate is a typed
 error, never an infinity.
 
 Each count and rate is validated once, when its ``StratumCell`` or
-``ExternalStandard`` is built. An in-range exact ``float`` costs one
-chained comparison; any other input is converted with ``float()`` and
-checked in full, and one that cannot be converted is refused as invalid.
+``ExternalStandard`` is built; ``csvio`` leaves a hospitals row's values to
+``StratumCell``. An in-range exact ``float`` costs one chained comparison;
+others are converted with ``float()`` and checked in full, or refused as invalid.
+Cells are slotted, and a loaded cohort's cells share one string per stratum id.
 
 All values are immutable after construction and every operation is a
 pure function, so concurrent evaluation needs no coordination: keeping
@@ -116,7 +117,7 @@ def _reject_string_collisions(ids: Collection[object], what: str) -> None:
                 ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StratumCell:
     """Patient count and actual mortality rate of one stratum.
 

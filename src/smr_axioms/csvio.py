@@ -11,7 +11,9 @@ Every CSV output of the package, these files and the command line's
 tables alike, goes through :func:`write_rows`: numbers with 17
 significant digits, so ``ingest(emit(cohort)) == cohort`` bit-for-bit,
 and an id holding a comma or a quote is quoted. All ingestion failures
-carry the 1-based row number of the offending line.
+carry the 1-based row number of the offending line. A hospitals row's values
+are validated once, by the slotted ``StratumCell``; a refused row is re-read
+only to name its fault. A loaded cohort's cells share one string per stratum id.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import csv
 import io
 from math import isfinite
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .core import Cohort, ExternalStandard, StratumCell, StratumTable
-from .errors import ParseError, ValidationError
+from .errors import InvalidParameterError, ParseError, ValidationError
 
 HOSPITALS_HEADER = ["hospital_id", "stratum_id", "patients", "mortality_rate"]
 STANDARD_HEADER = ["stratum_id", "expected_rate"]
@@ -49,9 +51,21 @@ def _check_header(got: list[str] | None, want: list[str], path: str) -> None:
         raise ParseError(1, ",".join(want), f"{path}: header must be {','.join(want)!r}")
 
 
+def _refuse_values(row: int, patients_text: str, rate_text: str) -> NoReturn:
+    """Raise the error that names what ``StratumCell`` refused in a hospitals row."""
+    patients = _parse_float(patients_text, row, "patients")
+    if patients < 0.0:
+        raise ValidationError(row, f"patients must be >= 0, got {patients}")
+    if rate_text == "":
+        raise ValidationError(row, "populated stratum needs a mortality_rate")
+    rate = _parse_float(rate_text, row, "mortality_rate")
+    raise ValidationError(row, f"mortality_rate must be in [0, 1], got {rate}")
+
+
 def load_hospitals(path: str | Path) -> Cohort:
     """Read a hospitals file into a cohort, in file order."""
     tables: dict[str, dict[str, StratumCell]] = {}
+    strata: dict[str, str] = {}  # one string per stratum id, shared by every hospital's cells
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         _check_header(next(reader, None), HOSPITALS_HEADER, str(path))
@@ -63,23 +77,16 @@ def load_hospitals(path: str | Path) -> Cohort:
             hospital, stratum, patients_text, rate_text = map(str.strip, row)
             if not hospital or not stratum:
                 raise ValidationError(row_no, "hospital_id and stratum_id must be non-empty")
-            patients = _parse_float(patients_text, row_no, "patients")
-            if patients < 0.0:
-                raise ValidationError(row_no, f"patients must be >= 0, got {patients}")
-            if rate_text == "":
-                rate = None
-                if patients > 0.0:
-                    raise ValidationError(row_no, "populated stratum needs a mortality_rate")
-            else:
-                rate = _parse_float(rate_text, row_no, "mortality_rate")
-                if not 0.0 <= rate <= 1.0:
-                    raise ValidationError(row_no, f"mortality_rate must be in [0, 1], got {rate}")
+            try:
+                cell = StratumCell(float(patients_text), float(rate_text) if rate_text else None)
+            except (ValueError, InvalidParameterError):
+                _refuse_values(row_no, patients_text, rate_text)
             cells = tables.get(hospital)
             if cells is None:
                 cells = tables[hospital] = {}
             elif stratum in cells:
                 raise ValidationError(row_no, f"duplicate ({hospital!r}, {stratum!r})")
-            cells[stratum] = StratumCell(patients, rate)
+            cells[strata.setdefault(stratum, stratum)] = cell
     if not tables:
         raise ValidationError(1, "no hospital rows")
     return Cohort(tuple(StratumTable(h, cells) for h, cells in tables.items()))

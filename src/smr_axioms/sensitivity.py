@@ -143,6 +143,8 @@ class SensitivityReport:
 
 
 def classify_sign(value: float, zero_tol: float = SIGN_ZERO_TOL) -> Sign:
+    if not zero_tol >= 0.0:  # a negative band would report an exact 0 as a decrease
+        raise InvalidParameterError(f"zero_tol must be >= 0, got {zero_tol!r}")
     if abs(value) <= zero_tol:
         return "zero"
     return "increase" if value > 0.0 else "decrease"

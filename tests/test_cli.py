@@ -236,6 +236,15 @@ class TestIngestValidation:
         assert exc.value.row == row
 
 
+    def test_hospitals_share_one_string_per_stratum_id(self, tmp_path):
+        hospitals = tmp_path / "h.csv"
+        hospitals.write_text("hospital_id,stratum_id,patients,mortality_rate\n"
+                             "H1,age 40-49,5,0.1\nH1, age 50-59 ,5,0.2\nH2,age 50-59,3,0.1\nH2,age 40-49,0,\n")
+        first, second = load_hospitals(hospitals).hospitals
+        assert list(first.cells) == ["age 40-49", "age 50-59"] and list(second.cells) == ["age 50-59", "age 40-49"]
+        for a, b in zip(first.cells, reversed(second.cells)):
+            assert a is b
+
     @pytest.mark.parametrize("text, rate", [("0", 0.0), ("1", 1.0), ("-0", -0.0)])
     def test_standard_rate_at_the_bounds(self, text, rate, tmp_path):
         standard = tmp_path / "s.csv"
@@ -774,6 +783,10 @@ class TestNonFiniteOptions:
             main(argv + ["--dp", "-1e-3"])
         assert exc.value.code == 2
         assert "argument --dp: expected one argument" in capsys.readouterr().err
+        for command in ("sensitivity", "scenario"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "exponent form must follow '=', as in --" in capsys.readouterr().out
 
     def test_unparsable_value_keeps_its_message(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -642,6 +642,11 @@ class TestCellContract:
 
     CELL = StratumCell(12.0, 0.25)
 
+    def test_slotted_without_a_dict(self):
+        # a registry holds tens of thousands of cells; a per-cell dict would cost about 40% more memory
+        assert StratumCell.__slots__ == ("count", "rate")
+        assert not hasattr(self.CELL, "__dict__")
+
     def test_assignment_is_refused(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             self.CELL.count = 3.0

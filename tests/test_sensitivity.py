@@ -87,6 +87,21 @@ class TestClassifySign:
     def test_the_zero_band_includes_its_edge(self, value, zero_tol, sign):
         assert classify_sign(value, zero_tol) == sign
 
+    @pytest.mark.parametrize("zero_tol", [-1.0, -5e-324, float("-inf"), float("nan")])
+    def test_a_band_below_zero_is_refused(self, zero_tol):
+        with pytest.raises(InvalidParameterError, match="zero_tol must be >= 0"):
+            classify_sign(0.0, zero_tol)
+
+    def test_a_band_below_zero_is_refused_by_every_caller(self):
+        table = StratumTable.build("H1", {"1": (10.0, 0.2), "2": (10.0, 0.8)})
+        standard = ExternalStandard({"1": 0.15, "2": 0.6})
+        with pytest.raises(InvalidParameterError, match="zero_tol must be >= 0, got -1.0"):
+            dsmr_uniform_actual_external(table, standard, 0.0, -1.0)
+        world = World(Cohort((table,)), standard)
+        with pytest.raises(InvalidParameterError, match="zero_tol must be >= 0, got -1.0"):
+            ANALYSES["uniform-actual", "external"].run(world, {"hospital_id": "H1", "dp": 0.0}, -1.0)
+        assert ANALYSES["uniform-actual", "external"].run(world, {"hospital_id": "H1", "dp": 0.0}, 0.0).sign == "zero"
+
 
 class TestShiftCaseMix:
     def test_counts_move_total_fixed(self):
