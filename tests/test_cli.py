@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from math import isfinite
 from random import Random
 
 import pytest
@@ -14,7 +15,6 @@ from smr_axioms.core import EXACT_TOL, Cohort, StratumCell, StratumTable
 from smr_axioms.csvio import HOSPITALS_HEADER, emit_hospitals, emit_standard, ingest, load_hospitals, load_standard
 from smr_axioms.errors import ParseError, ValidationError
 from smr_axioms.report import cohort_payload, inputs_digest, standard_payload
-from math import isfinite
 
 from worlds import random_cohort, random_standard
 
@@ -234,7 +234,6 @@ class TestIngestValidation:
         with pytest.raises(error) as exc:
             ingest(hospitals, standard)
         assert exc.value.row == row
-
 
     def test_hospitals_share_one_string_per_stratum_id(self, tmp_path):
         hospitals = tmp_path / "h.csv"
