@@ -10,10 +10,14 @@ from smr_axioms import (
     AXIOMS,
     Cohort,
     ExternalStandard,
+    ScaleChange,
+    StratumTable,
     built_in_measures,
     matches_expected_matrix,
     replay,
     run_audit,
+    scale_hospital,
+    with_rate,
 )
 from smr_axioms.audit import (
     Measure,
@@ -305,3 +309,24 @@ class TestProbeGenerator:
             measure, (next(gen.stream("strict_monotonicity", "external")) for _ in range(200))
         )
         assert verdict.status == "holds"
+
+    @pytest.mark.parametrize("scheme", ["external", "internal"])
+    @pytest.mark.parametrize("axiom", AXIOMS)
+    def test_trusted_probes_equal_their_validated_rebuilds(self, axiom, scheme):
+        # probes and the perturbed copies of their tables must equal what the public constructors build
+        def assert_validated(table):
+            assert table == StratumTable(table.hospital, dict(table.cells))
+
+        stream = ProbeGenerator(11).stream(axiom, scheme)
+        for _ in range(300):
+            probe = next(stream)
+            cohort, standard = probe.world.cohort, probe.world.standard
+            rebuilt = Cohort(cohort.hospitals)
+            assert cohort == rebuilt and cohort._index == rebuilt._index
+            assert standard is None or standard == ExternalStandard(standard.rates)
+            for table in cohort.hospitals:
+                assert_validated(table)
+                assert_validated(scale_hospital(table, ScaleChange(2.5)))
+                assert_validated(with_rate(table, table.strata[-1], 0.75))
+            if hasattr(probe, "perturb"):
+                assert_validated(probe.perturb(cohort.table(probe.hospital)))
