@@ -459,12 +459,16 @@ _MANDATORY: dict[tuple[str, Scheme], Callable[[], list]] = {
 }
 
 
+_STRATA = {k: tuple(f"S{i}" for i in range(1, k + 1)) for k in range(2, 7)}
+
+
 class ProbeGenerator:
     """Seeded random probe source.
 
     Counts are log-uniform in [1, 1000], rates uniform in [0.01, 0.5],
     strata counts in [2, 6]; the bounds keep every denominator well away
-    from zero so that "holds" verdicts are not rounding artifacts.
+    from zero so that "holds" verdicts are not rounding artifacts. Values in
+    range and distinct ids by construction let it build through ``_trusted``.
     """
 
     def __init__(self, seed: int):
@@ -476,21 +480,21 @@ class ProbeGenerator:
     def _rate(self) -> float:
         return self._rng.uniform(0.01, 0.5)
 
-    def _strata(self) -> list[str]:
-        return [f"S{i}" for i in range(1, self._rng.randint(2, 6) + 1)]
+    def _strata(self) -> tuple[str, ...]:
+        return _STRATA[self._rng.randint(2, 6)]
 
     def _table(self, hospital: str, strata: Sequence[str]) -> StratumTable:
-        return StratumTable(hospital, {sid: StratumCell(self._count(), self._rate()) for sid in strata})
+        return StratumTable._trusted(hospital, {sid: StratumCell(self._count(), self._rate()) for sid in strata})
 
     def _standard(self, strata: Sequence[str]) -> ExternalStandard:
-        return ExternalStandard({sid: self._rate() for sid in strata})
+        return ExternalStandard._trusted({sid: self._rate() for sid in strata})
 
     def _single_world(self, scheme: Scheme, strata: Sequence[str]) -> World:
         """The probed hospital ``A``: alone with a standard, or with one or two peers if internal."""
         if scheme == "internal":
             hospitals = ("A", "B", "C")[: self._rng.randint(2, 3)]
-            return World(Cohort(tuple(self._table(h, strata) for h in hospitals)))
-        return World(Cohort((self._table("A", strata),)), self._standard(strata))
+            return World(Cohort._trusted(tuple(self._table(h, strata) for h in hospitals)))
+        return World(Cohort._trusted((self._table("A", strata),)), self._standard(strata))
 
     def monotonicity(self, scheme: Scheme) -> Iterator[MonotonicityProbe]:
         while True:
@@ -525,10 +529,10 @@ class ProbeGenerator:
                     for sid in strata
                 }
                 relation = "identical-deviations"
-            a = StratumTable("A", {s: StratumCell(self._count(), rates[s]) for s in strata})
-            b = StratumTable("B", {s: StratumCell(self._count(), rates[s]) for s in strata})
+            a = StratumTable._trusted("A", {s: StratumCell(self._count(), rates[s]) for s in strata})
+            b = StratumTable._trusted("B", {s: StratumCell(self._count(), rates[s]) for s in strata})
             tables = (a, b) if standard is not None else (a, b, self._table("C", strata))
-            yield PairProbe(World(Cohort(tables), standard), "A", "B", relation)
+            yield PairProbe(World(Cohort._trusted(tables), standard), "A", "B", relation)
 
     def dominance(self, scheme: Scheme) -> Iterator[PairProbe]:
         while True:
@@ -539,10 +543,10 @@ class ProbeGenerator:
             for sid in strata:
                 if sid == cut or self._rng.random() < 0.5:
                     better[sid] = max(0.01, worse[sid] - self._rng.uniform(0.005, 0.04))
-            a = StratumTable("A", {s: StratumCell(self._count(), better[s]) for s in strata})
-            b = StratumTable("B", {s: StratumCell(self._count(), worse[s]) for s in strata})
+            a = StratumTable._trusted("A", {s: StratumCell(self._count(), better[s]) for s in strata})
+            b = StratumTable._trusted("B", {s: StratumCell(self._count(), worse[s]) for s in strata})
             standard = None if scheme == "internal" else self._standard(strata)
-            yield PairProbe(World(Cohort((a, b)), standard), "A", "B", "dominates")
+            yield PairProbe(World(Cohort._trusted((a, b)), standard), "A", "B", "dominates")
 
     def stream(self, axiom: str, scheme: Scheme) -> Iterator:
         """Endless random probes of one requirement; an unknown axiom or scheme is refused."""

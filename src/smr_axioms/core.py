@@ -47,6 +47,9 @@ Each count and rate is validated once, when its ``StratumCell`` or
 ``StratumCell``. An in-range exact ``float`` costs one chained comparison;
 others are converted with ``float()`` and checked in full, or refused as invalid.
 Cells are slotted, and a loaded cohort's cells share one string per stratum id.
+Only the audit's probes and a table's copies that keep its ids may skip the checks
+of a table, cohort or standard through its private ``_trusted``: the caller hands
+over a fresh container, with values already checked and ids that cannot collide.
 
 All values are immutable after construction and every operation is a
 pure function, so concurrent evaluation needs no coordination: keeping
@@ -166,6 +169,12 @@ class StratumTable:
         _reject_string_collisions(self.cells, "stratum")
 
     @classmethod
+    def _trusted(cls, hospital: HospitalId, cells: dict[StratumId, StratumCell]) -> "StratumTable":
+        table = object.__new__(cls)
+        table.__dict__.update(hospital=hospital, cells=cells)
+        return table
+
+    @classmethod
     def build(cls, hospital: HospitalId, cells: Mapping[StratumId, CellLike]) -> "StratumTable":
         """Build from a mapping of ``stratum -> (count, rate)`` pairs."""
         return cls(hospital, {sid: _as_cell(c) for sid, c in cells.items()})
@@ -201,10 +210,9 @@ class StratumTable:
 
 
 def with_cell(table: StratumTable, stratum: StratumId, count: float, rate: float | None) -> StratumTable:
-    """Copy of ``table`` with one cell replaced or added."""
-    cells = dict(table.cells)
-    cells[stratum] = StratumCell(count, rate)
-    return StratumTable(table.hospital, cells)
+    """Copy of ``table`` with one cell replaced or added; only an added id is checked."""
+    build = StratumTable._trusted if stratum in table.cells else StratumTable
+    return build(table.hospital, {**table.cells, stratum: StratumCell(count, rate)})
 
 
 def with_rate(table: StratumTable, stratum: StratumId, rate: float) -> StratumTable:
@@ -226,6 +234,12 @@ class ExternalStandard:
                 rates[sid] = _check_rate(r, f"standard rate of stratum {sid!r}")
         object.__setattr__(self, "rates", rates)
         _reject_string_collisions(self.rates, "stratum")
+
+    @classmethod
+    def _trusted(cls, rates: dict[StratumId, float]) -> "ExternalStandard":
+        standard = object.__new__(cls)
+        standard.__dict__["rates"] = rates
+        return standard
 
     def rate(self, stratum: StratumId) -> float:
         try:
@@ -254,6 +268,12 @@ class Cohort:
             raise InvalidParameterError(f"duplicate hospital id {duplicate!r}")
         _reject_string_collisions(index, "hospital")
         object.__setattr__(self, "_index", index)
+
+    @classmethod
+    def _trusted(cls, hospitals: tuple[StratumTable, ...]) -> "Cohort":
+        cohort = object.__new__(cls)
+        cohort.__dict__.update(hospitals=hospitals, _index={t.hospital: t for t in hospitals})
+        return cohort
 
     @classmethod
     def build(cls, tables: Mapping[HospitalId, Mapping[StratumId, CellLike]]) -> "Cohort":

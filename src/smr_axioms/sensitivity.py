@@ -205,7 +205,7 @@ def shift_case_mix(table: StratumTable, shift: CaseMixShift) -> StratumTable:
 def scale_hospital(table: StratumTable, change: ScaleChange) -> StratumTable:
     """Scale every count by the factor; rates and shares are untouched."""
     cells = {sid: core.StratumCell(c.count * change.factor, c.rate) for sid, c in table.cells.items()}
-    return StratumTable(table.hospital, cells)
+    return StratumTable._trusted(table.hospital, cells)
 
 
 def _shift_all_rates(table: StratumTable, dp: float) -> StratumTable:
