@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +125,26 @@ class TestWitnessRoundTrip:
                 assert dumps(witness_payload(rebuilt)) == text
                 before, after = replay(REGISTRY[row.measure], rebuilt)
                 assert (before, after) == (verdict.witness.value_before, verdict.witness.value_after)
+
+
+class TestRescaledMeasures:
+    """The requirements concern only the order and equality of a measure's values, so a
+    positive multiple ``c * m`` of a measure must get its verdicts on the same probes."""
+
+    CHECKS = (check_strict_monotonicity, check_case_mix_insensitivity, check_scale_insensitivity,
+              check_equivalence, check_dominance)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_a_positive_multiple_gets_the_same_verdicts(self, name):
+        measure = REGISTRY[name]
+        patterns = {c: [] for c in (1.0, 1e-9, 1e-3, 1e3, 1e4, 1e9)}
+        for axiom, check in zip(AXIOMS, self.CHECKS):
+            stream = ProbeGenerator(0).stream(axiom, measure.scheme)
+            probes = [*mandatory_probes(axiom, measure.scheme), *islice(stream, 300)]
+            for c, pattern in patterns.items():
+                scaled = Measure(measure.name, measure.scheme, lambda world, h, c=c: c * measure.evaluate(world, h))
+                pattern.append(check(scaled, probes).status)
+        assert {c: p for c, p in patterns.items() if p != patterns[1.0]} == {}
 
 
 class TestDeterminism:
