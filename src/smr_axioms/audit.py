@@ -31,9 +31,11 @@ Monotonicity, case mix and scale share a perturbation driver: each probe
 type perturbs one hospital and describes the move. Equivalence and
 dominance share a pair driver that admits a pair once its relation holds.
 
-The tolerances are fixed: violation comparisons use ``EXACT_TOL``
-(1e-12) for the insensitivity and monotonicity checks and
-``DERIVED_TOL`` (1e-9) for pair equality; a dominance tie counts as a
+The requirements concern only the order and equality of a measure's values,
+so any positive multiple of a measure gets its verdicts, and tolerances scale
+with what they compare: a move counts past ``EXACT_TOL * max(|before|, |after|)``
+(1e-12) and a pair gap past ``DERIVED_TOL * max(|va|, |vb|)`` (1e-9). Dominance
+is exact, ``va >= vb``: order alone needs no scale, and a tie counts as a
 violation because the requirement demands a strictly better rank.
 """
 
@@ -270,16 +272,16 @@ def _verdict(axiom: str, probes_run: int, witness: Witness | None) -> AxiomVerdi
 
 
 def _check_perturbations(
-    axiom: str, measure: Measure, probes: Iterable, violated: Callable[[float], bool]
+    axiom: str, measure: Measure, probes: Iterable, violated: Callable[[float, float], bool]
 ) -> AxiomVerdict:
-    """Judge each probe's move ``after - before``; the first violation is the witness."""
+    """Judge each probe's move ``after - before`` against its tolerance; the first violation is the witness."""
     ran = 0
     for probe in probes:
         ran += 1
         perturbed = probe.world.with_table(probe.perturb(probe.world.cohort.table(probe.hospital)))
         before = measure.evaluate(probe.world, probe.hospital)
         after = measure.evaluate(perturbed, probe.hospital)
-        if violated(after - before):
+        if violated(after - before, core.EXACT_TOL * max(abs(before), abs(after))):
             return _verdict(axiom, ran, Witness(
                 axiom, measure.name, probe.world, probe.hospital, before, after,
                 perturbed_world=perturbed, perturbation=probe.perturbation(),
@@ -314,11 +316,11 @@ def _check_pairs(
 
 def check_strict_monotonicity(measure: Measure, probes: Iterable[MonotonicityProbe]) -> AxiomVerdict:
     """Perturb one treated stratum's rate upward; demand a strict increase."""
-    return _check_perturbations("strict_monotonicity", measure, probes, lambda moved: moved <= core.EXACT_TOL)
+    return _check_perturbations("strict_monotonicity", measure, probes, lambda moved, tol: moved <= tol)
 
 
-def _moved(moved: float) -> bool:
-    return abs(moved) > core.EXACT_TOL
+def _moved(moved: float, tol: float) -> bool:
+    return abs(moved) > tol
 
 
 def check_case_mix_insensitivity(measure: Measure, probes: Iterable[CaseMixProbe]) -> AxiomVerdict:
@@ -370,7 +372,7 @@ def _admit_equivalent(probe: PairProbe) -> str:
 def check_equivalence(measure: Measure, probes: Iterable[PairProbe]) -> AxiomVerdict:
     """Hospitals with identical rates or identical deviations must score equal."""
     return _check_pairs("equivalence", measure, probes, _admit_equivalent,
-                        lambda va, vb: abs(va - vb) > core.DERIVED_TOL,
+                        lambda va, vb: abs(va - vb) > core.DERIVED_TOL * max(abs(va), abs(vb)),
                         "{relation} pair scored {va!r} vs {vb!r}")
 
 
