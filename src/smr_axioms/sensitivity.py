@@ -164,9 +164,9 @@ def _report(
     return SensitivityReport(value, sign, condition.format(rel[sign]), fd, details, flags)
 
 
-def _unexposed(condition: str, **details: object) -> SensitivityReport:
-    """The exact-zero report of a change that does not reach the hospital's ratio."""
-    return SensitivityReport(0.0, "zero", condition, 0.0, details)
+def _unexposed(condition: str, zero_tol: float, **details: object) -> SensitivityReport:
+    """The exact-zero report of a change that does not reach the hospital's ratio; ``zero_tol`` is checked."""
+    return SensitivityReport(0.0, classify_sign(0.0, zero_tol), condition, 0.0, details)
 
 
 def cross_check(report: SensitivityReport, kind: str) -> tuple[float, float]:
@@ -302,7 +302,7 @@ def omega_external(
     """
     before = core.smr_external(table, standard)
     if shift.eta == 0.0:
-        return _unexposed("eta == 0")
+        return _unexposed("eta == 0", zero_tol)
     after = _ratio(World(Cohort((table,)), standard), table.hospital, shift_case_mix(table, shift))
 
     k, l = shift.to_stratum, shift.from_stratum
@@ -361,7 +361,7 @@ def me_actual_external(
     cell = table.cell(stratum)
     before = core.smr_external(table, standard)
     if cell.count <= 0.0:
-        return _unexposed("n_hk == 0", share=0.0)
+        return _unexposed("n_hk == 0", zero_tol, share=0.0)
     share, value, _ = _exposure(table, before, stratum)
     world = World(Cohort((table,)), standard)
     fd = _central_slope(lambda x: _ratio(world, table.hospital, with_rate(table, stratum, x)), cell.rate)
@@ -385,7 +385,7 @@ def me_expected_external(
     cell = table.cell(stratum)
     before = core.smr_external(table, standard)
     if cell.count <= 0.0:
-        return _unexposed("n_hk == 0", share=0.0)
+        return _unexposed("n_hk == 0", zero_tol, share=0.0)
     share, _, value = _exposure(table, before, stratum)
     world = World(Cohort((table,)), standard)
     p_ek = standard.rate(stratum)
@@ -467,7 +467,7 @@ def omega_internal(
     standard = core.internal_standard(cohort)
     before = core.smr(table, standard, core.INTERNAL)
     if shift.eta == 0.0:
-        return _unexposed("eta == 0")
+        return _unexposed("eta == 0", zero_tol)
     _populated(cohort, shift.to_stratum)
     after = _ratio(World(cohort), hospital, shift_case_mix(table, shift))
 
@@ -589,7 +589,7 @@ def me_actual_internal(
     n_k = _populated(cohort, stratum)
     n_hk = table.count(stratum)
     if n_hk <= 0.0:
-        return _unexposed("n_hk == 0", share=0.0)
+        return _unexposed("n_hk == 0", zero_tol, share=0.0)
 
     before = core.smr_internal(cohort, hospital)
     share, direct, _ = _exposure(table, before, stratum)
@@ -670,7 +670,7 @@ def dsmr_expected_internal(
     standard = core.internal_standard(cohort)
     before = core.smr(table, standard, core.INTERNAL)
     if table.count(stratum) <= 0.0:
-        return _unexposed("n_hk == 0", share=0.0)
+        return _unexposed("n_hk == 0", zero_tol, share=0.0)
     share, _, effect = _exposure(table, before, stratum)
     value = effect * dpe
     world = World(cohort)
@@ -716,7 +716,7 @@ def me_cross_hospital_internal(
 
     if n_ik <= 0.0 or n_hk <= 0.0:
         which = "n_ik == 0" if n_ik <= 0.0 else "n_hk == 0"
-        return _unexposed(which, standard_derivative=standard_derivative)
+        return _unexposed(which, zero_tol, standard_derivative=standard_derivative)
 
     before = core.smr_internal(cohort, hospital)
     share, _, effect = _exposure(table, before, stratum)

@@ -97,10 +97,31 @@ class TestClassifySign:
         standard = ExternalStandard({"1": 0.15, "2": 0.6})
         with pytest.raises(InvalidParameterError, match="zero_tol must be >= 0, got -1.0"):
             dsmr_uniform_actual_external(table, standard, 0.0, -1.0)
+        unexposed = StratumTable.build("H1", {"1": (10.0, 0.2), "2": (0.0, None)})
+        with pytest.raises(InvalidParameterError, match="zero_tol must be >= 0, got -1.0"):
+            me_actual_external(unexposed, standard, "2", -1.0)
         world = World(Cohort((table,)), standard)
         with pytest.raises(InvalidParameterError, match="zero_tol must be >= 0, got -1.0"):
             ANALYSES["uniform-actual", "external"].run(world, {"hospital_id": "H1", "dp": 0.0}, -1.0)
         assert ANALYSES["uniform-actual", "external"].run(world, {"hospital_id": "H1", "dp": 0.0}, 0.0).sign == "zero"
+
+    @pytest.mark.parametrize(
+        "analysis, scheme, parameters",
+        [("shift", "external", {"from_stratum": "1", "to_stratum": "3", "eta": 0.0}),
+         ("shift", "internal", {"from_stratum": "1", "to_stratum": "3", "eta": 0.0}),
+         ("me-actual", "external", {"stratum_id": "2"}), ("me-actual", "internal", {"stratum_id": "2"}),
+         ("me-expected", "external", {"stratum_id": "2"}), ("me-expected", "internal", {"stratum_id": "2", "dp": 0.01}),
+         ("cross", "internal", {"other_hospital": "H2", "stratum_id": "2"})],
+    )
+    def test_a_band_below_zero_is_refused_where_the_change_misses_the_hospital(self, analysis, scheme, parameters):
+        # H1 treats nobody in stratum 2, and a shift of 0 patients moves nothing: each report is an exact zero
+        cohort = Cohort.build({"H1": {"1": (10.0, 0.2), "2": (0.0, None), "3": (5.0, 0.4)},
+                               "H2": {"1": (10.0, 0.1), "2": (10.0, 0.5), "3": (5.0, 0.3)}})
+        world = World(cohort, ExternalStandard({"1": 0.15, "2": 0.6, "3": 0.35}) if scheme == "external" else None)
+        row, parameters = ANALYSES[analysis, scheme], {"hospital_id": "H1", **parameters}
+        assert row.run(world, parameters, 0.0).sign == "zero"
+        with pytest.raises(InvalidParameterError, match="zero_tol must be >= 0, got -1.0"):
+            row.run(world, parameters, -1.0)
 
 
 class TestShiftCaseMix:
