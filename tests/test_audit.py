@@ -204,6 +204,16 @@ class TestChecks:
         with pytest.raises(IncomparableProbeError):
             check_equivalence(REGISTRY["smr-external"], [probe])
 
+    def test_identical_deviations_ignore_the_rate_of_an_empty_cell(self):
+        # B treats nobody in stratum 2, so its rate there is no deviation; A's is 0 there
+        world = World(
+            Cohort.build({"A": {"1": (5.0, 0.2), "2": (5.0, 0.1)}, "B": {"1": (9.0, 0.2), "2": (0.0, 0.4)}}),
+            ExternalStandard({"1": 0.1, "2": 0.1}),
+        )
+        verdict = check_equivalence(REGISTRY["smr-external"], [PairProbe(world, "A", "B", "identical-deviations")])
+        assert verdict.status == "violated"
+        assert (verdict.witness.value_before, verdict.witness.value_after) == pytest.approx((1.5, 2.0))
+
     @pytest.mark.parametrize("empty", [{}, {"2": (0.0, 0.1)}, {"2": (0.0, None)}],
                              ids=["same-strata", "empty-stratum-rates-differ", "empty-stratum-no-rate"])
     def test_dominance_pair_with_identical_rates_is_refused(self, empty):

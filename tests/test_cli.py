@@ -772,6 +772,18 @@ class TestNonFiniteOptions:
         assert exc.value.code == 2
         assert f"argument --tolerance: {message}" in capsys.readouterr().err
 
+    def test_zero_tolerance_is_accepted(self, table2, capsys):
+        hospitals, standard = table2
+        code, payload = run_json(capsys, ["sensitivity", "--hospitals", str(hospitals), "--standard", str(standard),
+                                          "--scheme", "external", "--analysis", "uniform-actual", "--hospital", "H1",
+                                          "--dp", "0", "--tolerance", "0"])
+        assert code == 0 and payload["results"]["report"]["sign"] == "zero"
+
+    def test_a_one_point_grid_is_accepted(self, capsys):
+        code = main(["scenario", "--name", "scale-ext", "--min", "0.5", "--max", "0.5", "--format", "csv"])
+        assert code == 0
+        assert capsys.readouterr().out == "lambda,H1\n0.5,1.1666666666666665\n"
+
     def test_negative_exponent_form_needs_an_equals_sign(self, table2, capsys):
         hospitals, standard = table2
         argv = ["sensitivity", "--hospitals", str(hospitals), "--standard", str(standard), "--scheme", "external",
@@ -801,6 +813,15 @@ class TestPrettyMode:
         main(["compute", "--hospitals", str(hospitals), "--standard", str(standard),
               "--scheme", "external", "--format", "pretty"])
         assert "\x1b[" in capsys.readouterr().out
+
+    def test_an_smr_of_exactly_one_is_not_colored(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SMR_AXIOMS_NO_COLOR", raising=False)
+        hospitals, standard = tmp_path / "h.csv", tmp_path / "s.csv"
+        hospitals.write_text(TWO_STRATA_CSV)
+        standard.write_text("stratum_id,expected_rate\n1,0.05\n2,0.15\n")
+        main(["compute", "--hospitals", str(hospitals), "--standard", str(standard),
+              "--scheme", "external", "--format", "pretty"])
+        assert capsys.readouterr().out.splitlines()[-1] == "H1        0.1167  0.1167    1.00"
 
     def test_no_color_env(self, table2, capsys, monkeypatch):
         monkeypatch.setenv("SMR_AXIOMS_NO_COLOR", "1")
