@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from smr_axioms import (
     AXIOMS,
+    EXACT_TOL,
     Cohort,
     ExternalStandard,
     ScaleChange,
@@ -166,6 +167,12 @@ class TestDegenerateMeasures:
         # (which needs a strictly better rank) can fail
         assert row.statuses() == ("violated", "holds", "holds", "holds", "violated")
 
+    def test_a_measure_stuck_at_zero_gets_the_constant_verdicts(self):
+        # a zero tolerance band is still a band: 0 == 0 is no move, no gap and no rise
+        zero = Measure("zero", "external", lambda world, hospital: 0.0 * world.cohort.table(hospital).total_count)
+        matrix = run_audit([zero], seed=0, trials=20)
+        assert matrix.row("zero").statuses() == ("violated", "holds", "holds", "holds", "violated")
+
     def test_actual_rate_measure(self):
         matrix = run_audit([REGISTRY["actual-rate"]], seed=0, trials=SMALL_TRIALS)
         row = matrix.row("actual-rate")
@@ -213,6 +220,15 @@ class TestChecks:
         verdict = check_equivalence(REGISTRY["smr-external"], [PairProbe(world, "A", "B", "identical-deviations")])
         assert verdict.status == "violated"
         assert (verdict.witness.value_before, verdict.witness.value_after) == pytest.approx((1.5, 2.0))
+
+    def test_identical_deviations_admit_a_gap_of_exactly_the_tolerance(self):
+        # A deviates by 1e-12 in stratum 2, which B leaves empty: the band includes its edge
+        world = World(
+            Cohort.build({"A": {"1": (5.0, 0.2), "2": (5.0, EXACT_TOL)}, "B": {"1": (9.0, 0.2), "2": (0.0, None)}}),
+            ExternalStandard({"1": 0.1, "2": 0.0}),
+        )
+        verdict = check_equivalence(REGISTRY["smr-external"], [PairProbe(world, "A", "B", "identical-deviations")])
+        assert verdict.status == "holds"
 
     @pytest.mark.parametrize("empty", [{}, {"2": (0.0, 0.1)}, {"2": (0.0, None)}],
                              ids=["same-strata", "empty-stratum-rates-differ", "empty-stratum-no-rate"])
