@@ -486,10 +486,13 @@ class ProbeGenerator:
         return _STRATA[self._rng.randint(2, 6)]
 
     def _table(self, hospital: str, strata: Sequence[str]) -> StratumTable:
-        return StratumTable._trusted(hospital, {sid: StratumCell(self._count(), self._rate()) for sid in strata})
+        uniform = self._rng.uniform  # the draws of _count and _rate, in their order, without two calls per cell
+        cells = {sid: StratumCell(10.0 ** uniform(0.0, 3.0), uniform(0.01, 0.5)) for sid in strata}
+        return StratumTable._trusted(hospital, cells)
 
     def _standard(self, strata: Sequence[str]) -> ExternalStandard:
-        return ExternalStandard._trusted({sid: self._rate() for sid in strata})
+        uniform = self._rng.uniform
+        return ExternalStandard._trusted({sid: uniform(0.01, 0.5) for sid in strata})
 
     def _single_world(self, scheme: Scheme, strata: Sequence[str]) -> World:
         """The probed hospital ``A``: alone with a standard, or with one or two peers if internal."""
