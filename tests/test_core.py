@@ -512,6 +512,14 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="collide"):
             ExternalStandard({1: 0.1, "1": 0.2})
 
+    def test_with_cell_checks_an_added_stratum_id_and_every_cell(self):
+        table = StratumTable.build("H", {1: (5.0, 0.1)})
+        with pytest.raises(InvalidParameterError, match="collide"):
+            with_cell(table, "1", 5.0, 0.2)
+        with pytest.raises(InvalidParameterError, match="patient count"):
+            with_cell(table, 1, -1.0, 0.2)
+        assert with_cell(table, 1, 6.0, 0.2) == StratumTable.build("H", {1: (6.0, 0.2)})
+
     # errors.py promises typed errors: none of these may escape as ValueError/TypeError.
     @pytest.mark.parametrize(
         "build",
