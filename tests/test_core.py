@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 from collections.abc import Mapping
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -399,6 +400,57 @@ class TestWithTableTotals:
         calls.clear()
         internal_standard(cohort.with_table(scale_hospital(table, ScaleChange(2.0))))
         assert len(calls) == 12  # patients and deaths of every stratum
+
+
+def _exact_sums(cohort):
+    """Per stratum in first-seen order, the exact sum of its terms rounded once: the ``count`` of
+    every cell and the ``count * rate`` of every populated one. Every float is a ``Fraction``."""
+    terms = {}
+    for t in cohort.hospitals:
+        for sid, c in t.cells.items():
+            patients, deaths = terms.setdefault(sid, ([], []))
+            patients.append(c.count)
+            if c.count > 0.0:
+                deaths.append(c.count * c.rate)
+    return {sid: tuple(float(sum(Fraction(x) for x in col)) for col in cols) for sid, cols in terms.items()}
+
+
+def _assert_exact_totals(cohort):
+    exact = _exact_sums(cohort)
+    sums = cohort._stratum_sums()
+    assert list(sums) == list(exact) == list(cohort.strata())
+    for sid, (patients, deaths) in exact.items():
+        assert _hexes(sums[sid]) == _hexes((patients, deaths))  # an exact zero is +0.0
+        assert cohort.stratum_count(sid).hex() == patients.hex()
+    got = internal_standard(cohort)
+    assert _hexes(got.values()) == _hexes(d / p for p, d in exact.values() if p > 0.0)
+
+
+class TestExactTotals:
+    """Every stratum total, summed or derived by a copy, is its terms' exact sum rounded once."""
+
+    @given(st.integers(0, 10_000), st.booleans(), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_cohorts_and_copies(self, seed, ragged, parent_summed, copy_summed):
+        rng = Random(seed)
+        cohort, _ = _ragged_cohort(rng) if ragged else random_cohort(rng, hospitals=rng.choice([None, 12]))
+        if parent_summed:
+            _assert_exact_totals(cohort)
+        copy = cohort.with_table(_perturb(rng, rng.choice(cohort.hospitals)))
+        if copy_summed:
+            _assert_exact_totals(copy)
+        copy_of_copy = copy.with_table(_perturb(rng, rng.choice(copy.hospitals)))
+        for c in (copy_of_copy, copy, cohort):
+            _assert_exact_totals(c)
+
+    def test_a_copy_recovers_a_term_its_parent_rounded_away(self):
+        # 1e16 + 1 rounds to 1e16, so a running total minus 1e16 would give 0
+        cohort = Cohort.build({"H1": {"1": (1e16, 0.5)}, "H2": {"1": (1.0, 0.25)}})
+        assert cohort.stratum_count("1") == 1e16
+        copy = cohort.with_table(with_cell(cohort.table("H1"), "1", 0.0, None))
+        assert copy.stratum_count("1") == 1.0
+        assert internal_standard(copy) == {"1": 0.25}
+        _assert_exact_totals(copy)
 
 
 class TestTotalOverflow:
