@@ -30,13 +30,14 @@ computes every ratio against it. Only its origin differs:
 Internal standardization is external standardization against
 ``internal_standard(cohort)``. Its per-stratum patient and death totals
 are summed in one pass over the cells, the first time a ``Cohort``
-object needs them, and kept on that object, so :func:`smr_all`, and
-equally :func:`smr_internal` called once per hospital, is O(H*S) in
-total for H hospitals and S strata. The pass keeps each stratum's terms,
-one slot per hospital: a ``Cohort.with_table`` copy keeping the replaced
-table's stratum ids and order re-sums only the totals it changes, never
-reading other hospitals' cells, and any other copy sums its own cells.
-Totals beyond the float range raise ``TotalOverflowError``.
+object needs them, and kept on that object with each stratum's terms,
+from only the hospitals that hold it. So :func:`smr_all`, and equally
+:func:`smr_internal` called once per hospital, is O(cells) in time and
+memory. A ``Cohort.with_table`` copy keeping the replaced table's
+stratum ids and order re-sums only the totals it changes, never reading
+other hospitals' cells: ``fsum`` rounds once, so a column's terms then
+``-y, x`` sum as the column with x in place of y. Any other copy sums
+its own cells. Totals beyond the float range raise ``TotalOverflowError``.
 
 Cells with ``count == 0`` may carry a rate (it is ignored by all rate
 aggregations) or leave it undefined. A zero expected rate is a typed
@@ -149,6 +150,10 @@ class StratumCell:
 CellLike = Union[StratumCell, tuple]
 
 
+def _terms(cell: StratumCell) -> tuple[float, float]:
+    return cell.count, cell.count * cell.rate if cell.count > 0.0 else 0.0
+
+
 def _as_cell(value: CellLike) -> StratumCell:
     if isinstance(value, StratumCell):
         return value
@@ -255,10 +260,10 @@ class Cohort:
     hospitals: tuple[StratumTable, ...] = field(default_factory=tuple)
     _index: dict[HospitalId, StratumTable] = field(init=False, repr=False, compare=False)
     # _sums: stratum -> (patients, deaths) over all hospitals in first-seen order, set on first use;
-    # _terms: those terms by hospital slot (0.0 without patients) if it summed its cells; _base: (parent, slot)
+    # _terms: those terms of only the stratum's holders, if it summed its cells; _base: (parent, replaced table)
     _sums: dict[StratumId, tuple[float, float]] | None = field(default=None, init=False, repr=False, compare=False)
     _terms: dict[StratumId, tuple[array, array]] | None = field(default=None, init=False, repr=False, compare=False)
-    _base: tuple[Cohort, int] | None = field(default=None, init=False, repr=False, compare=False)
+    _base: tuple[Cohort, StratumTable] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hospitals", tuple(self.hospitals))
@@ -299,26 +304,26 @@ class Cohort:
         return self._sums
 
     def _sum_cells(self) -> dict[StratumId, tuple[float, float]]:
-        zeros = array("d", [0.0]) * len(self.hospitals)
         terms: dict[StratumId, tuple[array, array]] = {}
-        for slot, t in enumerate(self.hospitals):
+        for t in self.hospitals:
             for sid, c in t.cells.items():
                 entry = terms.get(sid)
                 if entry is None:
-                    entry = terms[sid] = (array("d", zeros), array("d", zeros))
-                entry[0][slot] = c.count
-                entry[1][slot] = c.count * c.rate if c.count > 0.0 else 0.0
+                    entry = terms[sid] = (array("d"), array("d"))
+                count, deaths = _terms(c)
+                entry[0].append(count)
+                entry[1].append(deaths)
         sums = {sid: (fsum(counts), fsum(deaths)) for sid, (counts, deaths) in terms.items()}
         object.__setattr__(self, "_terms", terms)
         return sums
 
-    def _swap_sums(self, parent: Cohort, slot: int) -> dict[StratumId, tuple[float, float]]:
+    def _swap_sums(self, parent: Cohort, old: StratumTable) -> dict[StratumId, tuple[float, float]]:
         sums = dict(parent._stratum_sums())  # not parent._sums, which a racing thread may not have set yet
-        for sid, c in self.hospitals[slot].cells.items():
-            terms = (c.count, c.count * c.rate if c.count > 0.0 else 0.0)
+        for sid, c in self._index[old.hospital].cells.items():
+            # fsum rounds once, so a column followed by -y, x sums as the column with x in place of y
             sums[sid] = tuple(
-                total if col[slot] == x else fsum(chain(col[:slot], (x,), col[slot + 1 :]))
-                for col, x, total in zip(parent._terms[sid], terms, sums[sid])
+                total if y == x else fsum(chain(col, (-y, x)))
+                for col, y, x, total in zip(parent._terms[sid], _terms(old.cells[sid]), _terms(c), sums[sid])
             )
         return sums
 
@@ -343,7 +348,7 @@ class Cohort:
         object.__setattr__(copy, "hospitals", (*self.hospitals[:slot], table, *self.hospitals[slot + 1 :]))
         object.__setattr__(copy, "_index", {**self._index, table.hospital: table})
         if self._terms is not None and list(table.cells) == list(old.cells):
-            object.__setattr__(copy, "_base", (self, slot))
+            object.__setattr__(copy, "_base", (self, old))
         return copy
 
 

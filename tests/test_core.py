@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
 from random import Random
@@ -451,6 +452,23 @@ class TestExactTotals:
         assert copy.stratum_count("1") == 1.0
         assert internal_standard(copy) == {"1": 0.25}
         _assert_exact_totals(copy)
+
+
+class TestStratumSumsMemory:
+    """Summing a cohort holds O(cells) bytes, however its stratum ids are spread over hospitals."""
+
+    @pytest.mark.parametrize("hospitals", [400, 1_600])
+    def test_hospital_specific_ids_peak_at_1_kib_per_cell(self, hospitals):
+        cohort = Cohort.build(
+            {f"H{h}": {f"H{h}-S{s}": (10.0 + s, 0.1 * s) for s in range(5)} for h in range(hospitals)}
+        )
+        tracemalloc.start()
+        try:
+            internal_standard(cohort)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * hospitals * 5
 
 
 class TestTotalOverflow:
