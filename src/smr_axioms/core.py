@@ -30,14 +30,13 @@ computes every ratio against it. Only its origin differs:
 Internal standardization is external standardization against
 ``internal_standard(cohort)``. Its per-stratum patient and death totals
 are summed in one pass over the cells, the first time a ``Cohort``
-object needs them, and kept on that object with each stratum's terms,
-from only the hospitals that hold it. So :func:`smr_all`, and equally
-:func:`smr_internal` called once per hospital, is O(cells) in time and
-memory. A ``Cohort.with_table`` copy keeping the replaced table's
-stratum ids and order re-sums only the totals it changes, never reading
-other hospitals' cells: ``fsum`` rounds once, so a column's terms then
-``-y, x`` sum as the column with x in place of y. Any other copy sums
-its own cells. Totals beyond the float range raise ``TotalOverflowError``.
+object needs them, and kept on that object with the terms of only each
+stratum's holders, so :func:`smr_all`, or :func:`smr_internal` once per
+hospital, is O(cells) in time and memory. A ``Cohort.with_table`` copy
+keeping the replaced table's stratum ids and order re-sums only the totals
+it changes, reading no other hospital's cells: ``fsum`` rounds once, so a
+column then ``-y, x`` sums as the column with x in place of y. Any other
+copy sums its own cells. Totals beyond the float range raise ``TotalOverflowError``.
 
 Cells with ``count == 0`` may carry a rate (it is ignored by all rate
 aggregations) or leave it undefined. A zero expected rate is a typed
@@ -320,9 +319,8 @@ class Cohort:
     def _swap_sums(self, parent: Cohort, old: StratumTable) -> dict[StratumId, tuple[float, float]]:
         sums = dict(parent._stratum_sums())  # not parent._sums, which a racing thread may not have set yet
         for sid, c in self._index[old.hospital].cells.items():
-            # fsum rounds once, so a column followed by -y, x sums as the column with x in place of y
             sums[sid] = tuple(
-                total if y == x else fsum(chain(col, (-y, x)))
+                total if y == x else fsum(chain(col, (-y, x)))  # fsum rounds once: col with x for y
                 for col, y, x, total in zip(parent._terms[sid], _terms(old.cells[sid]), _terms(c), sums[sid])
             )
         return sums
@@ -437,12 +435,14 @@ def smr_internal(cohort: Cohort, hospital: HospitalId) -> SmrResult:
 
 def smr_all(cohort: Cohort, scheme: Scheme, standard: ExternalStandard | None = None) -> list[SmrResult]:
     """SMR of every hospital under one scheme, against a benchmark built once."""
-    if scheme == EXTERNAL:
-        if standard is None:
-            raise InvalidParameterError("external scheme needs a standard")
-        rates = standard.rates
-    else:
+    if scheme == INTERNAL:
         rates = internal_standard(cohort)
+    elif scheme != EXTERNAL:
+        raise InvalidParameterError(f"unknown scheme {scheme!r}")
+    elif standard is None:
+        raise InvalidParameterError("external scheme needs a standard")
+    else:
+        rates = standard.rates
     return [smr(t, rates, scheme) for t in cohort.hospitals]
 
 

@@ -775,6 +775,13 @@ class TestSmrAll:
         with pytest.raises(InvalidParameterError):
             smr_all(cohort, "external")
 
+    @pytest.mark.parametrize("scheme", ["External", "INTERNAL", "", None])
+    def test_unknown_scheme_refused(self, scheme):
+        # "External" used to fall through to the internal ratios, labelled "External"
+        cohort, strata = random_cohort(Random(1))
+        with pytest.raises(InvalidParameterError, match="^unknown scheme"):
+            smr_all(cohort, scheme, random_standard(Random(2), strata))
+
 
 class TestSmr:
     """``core.smr`` sums the patient total once; it must agree with the rate functions."""
