@@ -90,8 +90,7 @@ class ScenarioSpec:
             raise InvalidParameterError(f"unknown scenario {self.name!r}")
         if not self.grid:
             raise InvalidParameterError("parameter grid must be non-empty")
-        object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
-        object.__setattr__(self, "overrides", dict(self.overrides))
+        object.__setattr__(self, "grid", tuple(core._as_float(x, "grid value") for x in self.grid))
         scenario = _SCENARIOS[self.name]
         for key in self.overrides:
             if key not in scenario.overrides:
@@ -99,6 +98,8 @@ class ScenarioSpec:
                     f"scenario {self.name!r} takes no override {key!r}"
                     f" (accepted: {', '.join(scenario.overrides) or 'none'})"
                 )
+        overrides = {key: core._as_float(value, f"override {key}") for key, value in self.overrides.items()}
+        object.__setattr__(self, "overrides", overrides)
         for x in self.grid:
             scenario.check_range(x)
 
@@ -200,7 +201,7 @@ def _build_scale_int(lam: float, _: Mapping[str, float]) -> World:
 
 
 def _build_actual_int(p11: float, overrides: Mapping[str, float]) -> World:
-    w11 = float(overrides.get("w11", 0.8))
+    w11 = overrides.get("w11", 0.8)
     if not 0.0 <= w11 <= 1.0:
         raise ParameterOutOfRangeError(f"w11 = {w11!r} outside [0, 1]")
     return World(Cohort.build({
@@ -367,7 +368,7 @@ def _claims_scale_int(series: SweepSeries) -> list[ClaimResult]:
 
 
 def _claims_actual_int(series: SweepSeries) -> list[ClaimResult]:
-    w11 = float(series.spec.overrides.get("w11", 0.8))
+    w11 = series.spec.overrides.get("w11", 0.8)
     h1, h2 = series.hospital("H1"), series.hospital("H2")
     claims = []
     if abs(w11 - 0.6) <= 1e-9:

@@ -102,7 +102,7 @@ class CaseMixShift:
     eta: float
 
     def __post_init__(self) -> None:
-        eta = float(self.eta)
+        eta = core._as_float(self.eta, "eta")
         if not eta >= 0.0:
             raise InvalidParameterError(f"eta must be >= 0, got {self.eta!r}")
         if self.from_stratum == self.to_stratum:
@@ -112,7 +112,7 @@ class CaseMixShift:
     @classmethod
     def integral(cls, from_stratum: StratumId, to_stratum: StratumId, eta: float) -> "CaseMixShift":
         """Strict mode: ``eta`` must be a whole number of patients."""
-        if float(eta) != int(eta):
+        if not core._as_float(eta, "eta").is_integer():
             raise InvalidParameterError(f"integral shift requires whole eta, got {eta!r}")
         return cls(from_stratum, to_stratum, eta)
 
@@ -124,7 +124,7 @@ class ScaleChange:
     factor: float
 
     def __post_init__(self) -> None:
-        factor = float(self.factor)
+        factor = core._as_float(self.factor, "scale factor")
         if not factor > 0.0:
             raise InvalidParameterError(f"scale factor must be > 0, got {self.factor!r}")
         object.__setattr__(self, "factor", factor)

@@ -107,6 +107,15 @@ class TestSpecValidation:
         with pytest.raises(ParameterOutOfRangeError):
             build_scenario(spec_at("actual-int", 0.5, {"w11": 1.5}), 0.5)
 
+    def test_non_numeric_grid_point(self):
+        with pytest.raises(InvalidParameterError, match="grid value must be a number"):
+            ScenarioSpec("scale-ext", ("x",))
+
+    def test_non_numeric_override_refused_before_the_sweep(self):
+        with pytest.raises(InvalidParameterError, match="override w11 must be a number"):
+            ScenarioSpec("actual-int", (0.5,), {"w11": "abc"})
+        assert ScenarioSpec("actual-int", (0.5,), {"w11": "0.6"}).overrides == {"w11": 0.6}
+
     def test_default_grid_bounds(self):
         spec = ScenarioSpec.default("expected-ext")
         assert spec.grid[0] == pytest.approx(0.01)

@@ -168,6 +168,25 @@ class TestShiftCaseMix:
         assert CaseMixShift.integral("a", "b", 3).eta == 3.0
 
 
+class TestChangeValidation:
+    """A shift or scale change refuses a value that is not a number with a typed error."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: CaseMixShift("1", "2", "abc"), "eta must be a number"),
+            (lambda: ScaleChange("x"), "scale factor must be a number"),
+            (lambda: ScaleChange(None), "scale factor must be a number"),
+            (lambda: CaseMixShift.integral("1", "2", float("nan")), "integral shift requires whole eta"),
+            (lambda: CaseMixShift.integral("1", "2", float("inf")), "integral shift requires whole eta"),
+        ],
+        ids=["shift-text", "scale-text", "scale-none", "integral-nan", "integral-inf"],
+    )
+    def test_refused_as_invalid(self, make, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            make()
+
+
 class TestOmegaExternal:
     def test_worked_example(self):
         world = casemix_ext_world(0.0)
