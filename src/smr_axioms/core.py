@@ -150,6 +150,7 @@ CellLike = Union[StratumCell, tuple]
 
 
 def _terms(cell: StratumCell) -> tuple[float, float]:
+    """The cell's terms in its stratum's cohort-wide (patients, deaths), as ``Cohort._sum_cells`` keeps them."""
     return cell.count, cell.count * cell.rate if cell.count > 0.0 else 0.0
 
 
@@ -309,9 +310,8 @@ class Cohort:
                 entry = terms.get(sid)
                 if entry is None:
                     entry = terms[sid] = (array("d"), array("d"))
-                count, deaths = _terms(c)
-                entry[0].append(count)
-                entry[1].append(deaths)
+                entry[0].append(c.count)
+                entry[1].append(c.count * c.rate if c.count > 0.0 else 0.0)
         sums = {sid: (fsum(counts), fsum(deaths)) for sid, (counts, deaths) in terms.items()}
         object.__setattr__(self, "_terms", terms)
         return sums
