@@ -149,8 +149,8 @@ class StratumCell:
 CellLike = Union[StratumCell, tuple]
 
 
-def _terms(cell: StratumCell) -> tuple[float, float]:
-    """The cell's terms in its stratum's cohort-wide (patients, deaths), as ``Cohort._sum_cells`` keeps them."""
+def _addends(cell: StratumCell) -> tuple[float, float]:
+    """A cell's terms in its stratum's cohort-wide (patients, deaths), as ``Cohort._sum_cells`` keeps them."""
     return cell.count, cell.count * cell.rate if cell.count > 0.0 else 0.0
 
 
@@ -321,7 +321,7 @@ class Cohort:
         for sid, c in self._index[old.hospital].cells.items():
             sums[sid] = tuple(
                 total if y == x else fsum(chain(col, (-y, x)))  # fsum rounds once: col with x for y
-                for col, y, x, total in zip(parent._terms[sid], _terms(old.cells[sid]), _terms(c), sums[sid])
+                for col, y, x, total in zip(parent._terms[sid], _addends(old.cells[sid]), _addends(c), sums[sid])
             )
         return sums
 
