@@ -777,7 +777,7 @@ class TestSmrAll:
 
     @pytest.mark.parametrize("scheme", ["External", "INTERNAL", "", None])
     def test_unknown_scheme_refused(self, scheme):
-        # "External" used to fall through to the internal ratios, labelled "External"
+        # a near-miss such as "External" must not get the internal ratios under its own label
         cohort, strata = random_cohort(Random(1))
         with pytest.raises(InvalidParameterError, match="^unknown scheme"):
             smr_all(cohort, scheme, random_standard(Random(2), strata))
