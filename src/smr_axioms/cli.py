@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Commands: ``compute``, ``sensitivity``, ``audit``, ``scenario``. Each
-command builds only its own options and imports only the layers it runs
-(``compute`` none beyond ``core``, ``csvio`` and ``report``). Machine
-formats (``json``, ``csv``) are byte-deterministic for fixed inputs and
-seed; display rounding happens only in ``pretty`` mode. Exit codes:
-0 success, 1 data or claim failure (including a ``sensitivity``
+Commands: ``compute``, ``sensitivity``, ``audit``, ``scenario``, one
+``COMMANDS`` row each: help, options builder, handler. Each command
+builds only its own options and imports only the layers it runs
+(``compute`` none beyond ``core``, ``csvio`` and ``report``). Every
+handler writes through ``_render``, which builds only the asked format.
+Machine formats (``json``, ``csv``) are byte-deterministic for fixed
+inputs and seed; display rounding happens only in ``pretty`` mode. Exit
+codes: 0 success, 1 data or claim failure (including a ``sensitivity``
 cross-check over its bound), 2 usage error. Set
 ``SMR_AXIOMS_NO_COLOR`` to disable ANSI styling in pretty mode.
 """
@@ -16,7 +18,7 @@ import argparse
 import os
 import sys
 from math import isfinite
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import core, report
 from .csvio import format_number, ingest, write_rows
@@ -46,11 +48,14 @@ def _table_text(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _render(args: argparse.Namespace, payload: dict, csv_text: Callable[[], str],
+            pretty_text: Callable[[], str]) -> None:
+    """Write the asked ``--format`` to stdout or ``--out``: json from ``payload``, else its thunk's text."""
+    text = {"json": lambda: report.dumps(payload), "csv": csv_text, "pretty": pretty_text}[args.format]()
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
 
 
@@ -77,17 +82,10 @@ SENSITIVITY_OPTIONS = {
     "--dp": ("dp", "DP", _finite),
 }
 
-#: command -> help. A command's options, and the layer they name, are built only when
-#: argv starts with that command, or for every command when it names none (help, typos).
-COMMANDS = {
-    "compute": "per-hospital SMR table",
-    "sensitivity": "closed-form sensitivity analyses",
-    "audit": "five-requirement compliance matrix",
-    "scenario": "built-in example sweeps",
-}
-
 
 def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """A command's options, and the layer they name, are built only when argv starts with that
+    command, or for every command when it names none (help, typos)."""
     parser = argparse.ArgumentParser(
         prog="smr-axioms",
         description="Standardized mortality ratios, their sensitivities, and an axiomatic audit.",
@@ -95,49 +93,51 @@ def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     common.add_argument("--out", metavar="PATH")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name, parents=[common], help=text) for name, text in COMMANDS.items()}
-    wanted = {argv[0]} if argv and argv[0] in COMMANDS else set(COMMANDS)
-
-    for name in wanted & {"compute", "sensitivity"}:
-        parsers[name].add_argument("--hospitals", required=True, metavar="CSV")
-        parsers[name].add_argument("--standard", metavar="CSV")
-        parsers[name].add_argument("--scheme", choices=("external", "internal"), required=True)
-
-    if "sensitivity" in wanted:
-        from . import sensitivity
-        p_sens = parsers["sensitivity"]
-        p_sens.add_argument("--analysis", choices=list(dict.fromkeys(a for a, _ in sensitivity.ANALYSES)),
-                            required=True)
-        for option, (key, metavar, kind) in SENSITIVITY_OPTIONS.items():
-            p_sens.add_argument(option, dest=key, metavar=metavar, type=kind)
-        p_sens.add_argument("--tolerance", type=_finite, default=sensitivity.SIGN_ZERO_TOL,
-                            help="zero-classification tolerance (default %(default)s)")
-        p_sens.epilog = "A negative number in exponent form must follow '=', as in --dp=-1e-3."
-
-    if "audit" in wanted:
-        from . import audit
-        p_audit = parsers["audit"]
-        p_audit.add_argument("--seed", type=int, default=0)
-        p_audit.add_argument("--trials", type=int, default=10_000)
-        p_audit.add_argument("--expect-paper", dest="expect_paper", action="store_true",
-                             help="fail unless the built-in matrix matches its known pattern")
-        p_audit.add_argument("--measure", action="append", default=[],
-                             choices=sorted(audit.built_in_measures()),
-                             help="additional measure to audit (repeatable)")
-
-    if "scenario" in wanted:
-        from . import scenarios
-        p_scen = parsers["scenario"]
-        p_scen.add_argument("--name", required=True, choices=scenarios.SCENARIO_NAMES)
-        p_scen.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
-        p_scen.add_argument("--min", dest="grid_min", type=_finite)
-        p_scen.add_argument("--max", dest="grid_max", type=_finite)
-        p_scen.add_argument("--step", dest="grid_step", type=_finite)
-        p_scen.add_argument("--check-claims", dest="check_claims", action="store_true")
-        p_scen.epilog = "A negative number in exponent form must follow '=', as in --min=-1e-3."
+    wanted = argv[0] if argv and argv[0] in COMMANDS else None
+    for name, (text, options, _) in COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=text)
+        if wanted in (None, name):
+            options(command)
     return parser
+
+
+def _cohort_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--hospitals", required=True, metavar="CSV")
+    p.add_argument("--standard", metavar="CSV")
+    p.add_argument("--scheme", choices=("external", "internal"), required=True)
+
+
+def _sensitivity_options(p: argparse.ArgumentParser) -> None:
+    from . import sensitivity
+    _cohort_options(p)
+    p.add_argument("--analysis", choices=list(dict.fromkeys(a for a, _ in sensitivity.ANALYSES)), required=True)
+    for option, (key, metavar, kind) in SENSITIVITY_OPTIONS.items():
+        p.add_argument(option, dest=key, metavar=metavar, type=kind)
+    p.add_argument("--tolerance", type=_finite, default=sensitivity.SIGN_ZERO_TOL,
+                   help="zero-classification tolerance (default %(default)s)")
+    p.epilog = "A negative number in exponent form must follow '=', as in --dp=-1e-3."
+
+
+def _audit_options(p: argparse.ArgumentParser) -> None:
+    from . import audit
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--expect-paper", dest="expect_paper", action="store_true",
+                   help="fail unless the built-in matrix matches its known pattern")
+    p.add_argument("--measure", action="append", default=[], choices=sorted(audit.built_in_measures()),
+                   help="additional measure to audit (repeatable)")
+
+
+def _scenario_options(p: argparse.ArgumentParser) -> None:
+    from . import scenarios
+    p.add_argument("--name", required=True, choices=scenarios.SCENARIO_NAMES)
+    p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
+    p.add_argument("--min", dest="grid_min", type=_finite)
+    p.add_argument("--max", dest="grid_max", type=_finite)
+    p.add_argument("--step", dest="grid_step", type=_finite)
+    p.add_argument("--check-claims", dest="check_claims", action="store_true")
+    p.epilog = "A negative number in exponent form must follow '=', as in --min=-1e-3."
 
 
 def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -160,17 +160,12 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         "scheme": args.scheme,
     }
     payload = report.make_report("compute", inputs, {"scheme": args.scheme, "rows": rows})
-    if args.format == "json":
-        _emit(report.dumps(payload), args.out)
-    elif args.format == "csv":
-        header = ["hospital_id", "actual_rate", "expected_rate", "smr"]
-        _emit(write_rows([header, *([r[k] for k in header] for r in rows)]), args.out)
-    else:
-        table = [
-            [r["hospital_id"], f"{r['actual_rate']:.4f}", f"{r['expected_rate']:.4f}", _smr_pretty(r["smr"])]
-            for r in rows
-        ]
-        _emit(_table_text(["hospital", "actual", "expected", "SMR"], table), args.out)
+    header = ["hospital_id", "actual_rate", "expected_rate", "smr"]
+    _render(args, payload, lambda: write_rows([header, *([r[k] for k in header] for r in rows)]),
+            lambda: _table_text(["hospital", "actual", "expected", "SMR"], [
+                [r["hospital_id"], f"{r['actual_rate']:.4f}", f"{r['expected_rate']:.4f}", _smr_pretty(r["smr"])]
+                for r in rows
+            ]))
     return 0
 
 
@@ -215,10 +210,14 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         "report": report.sensitivity_payload(result),
     }
     payload = report.make_report("sensitivity", inputs, results, warnings=warnings)
-    if args.format == "json":
-        _emit(report.dumps(payload), args.out)
-    elif args.format == "csv":
-        flat = report.sensitivity_payload(result)
+
+    def warned(text: str) -> str:  # a text format puts a failed cross-check on stderr
+        if not agrees:
+            print(f"sensitivity: {warnings[-1]}", file=sys.stderr)
+        return text
+
+    def csv_text() -> str:
+        flat = dict(results["report"])
         details = flat.pop("details")
         flat.pop("flags")
         fields = [("field", "value"), *flat.items()]
@@ -228,8 +227,9 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
                 fields += [(f"details.{key}.{sub}", value[sub]) for sub in sorted(value, key=str)]
             else:
                 fields.append((f"details.{key}", value))
-        _emit(write_rows(fields), args.out)
-    else:
+        return warned(write_rows(fields))
+
+    def pretty_text() -> str:
         sign_color = {"increase": "31", "decrease": "32", "zero": "2"}[result.sign]
         rows = [
             ["value", format_number(result.value)],
@@ -237,11 +237,10 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             ["condition", result.condition],
             ["cross-check", format_number(result.fd_check)],
         ]
-        for key in sorted(result.details, key=str):
-            rows.append([str(key), str(result.details[key])])
-        _emit(_table_text([f"{args.analysis} ({args.scheme})", "value"], rows), args.out)
-    if not agrees and args.format != "json":
-        print(f"sensitivity: {warnings[-1]}", file=sys.stderr)
+        rows += [[str(key), str(result.details[key])] for key in sorted(result.details, key=str)]
+        return warned(_table_text([f"{args.analysis} ({args.scheme})", "value"], rows))
+
+    _render(args, payload, csv_text, pretty_text)
     return 0 if agrees else 1
 
 
@@ -253,28 +252,17 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     extras = [registry[name] for name in args.measure]
     matrix = audit.run_audit(extras, seed=args.seed, trials=args.trials)
     inputs = {"seed": args.seed, "trials": args.trials, "measures": sorted({m.name for m in extras})}
-    results: dict = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "matrix": report.matrix_payload(matrix),
-    }
-    failed = False
+    results: dict = {"seed": args.seed, "trials": args.trials, "matrix": report.matrix_payload(matrix)}
     if args.expect_paper:
-        ok = audit.matches_expected_matrix(matrix)
         inputs["expect_paper"] = True
-        results["expected_matrix_ok"] = ok
-        failed = not ok
+        results["expected_matrix_ok"] = audit.matches_expected_matrix(matrix)
     payload = report.make_report("audit", inputs, results)
     cells = [(row.measure, v.axiom, v.status, v.trials) for row in matrix.rows for v in row.verdicts]
-    if args.format == "json":
-        _emit(report.dumps(payload), args.out)
-    elif args.format == "csv":
-        _emit(write_rows([("measure", "axiom", "status", "trials"), *cells]), args.out)
-    else:
-        color = {"holds": "32", "violated": "31"}
-        rows = [[m, axiom, _styled(status, color[status]), str(n)] for m, axiom, status, n in cells]
-        _emit(_table_text(["measure", "requirement", "status", "trials"], rows), args.out)
-    if failed:
+    color = {"holds": "32", "violated": "31"}
+    _render(args, payload, lambda: write_rows([("measure", "axiom", "status", "trials"), *cells]),
+            lambda: _table_text(["measure", "requirement", "status", "trials"],
+                                [[m, axiom, _styled(status, color[status]), str(n)] for m, axiom, status, n in cells]))
+    if args.expect_paper and not results["expected_matrix_ok"]:
         print("audit: built-in matrix differs from the expected pattern", file=sys.stderr)
         return 1
     return 0
@@ -299,7 +287,7 @@ def _cmd_scenario(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         args.name, overrides, lo=args.grid_min, hi=args.grid_max, step=args.grid_step
     )
     series = scenarios.run_sweep(spec)
-    claims = scenarios.check_claims(spec) if args.check_claims else []
+    claims = scenarios.check_claims(series) if args.check_claims else []
     inputs = {
         "name": args.name,
         "overrides": overrides,
@@ -308,48 +296,45 @@ def _cmd_scenario(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     }
     results = report.sweep_payload(series)
     if args.check_claims:
-        results["claims"] = [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in claims
-        ]
+        results["claims"] = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in claims]
     payload = report.make_report("scenario", inputs, results)
-    if args.format == "json":
-        _emit(report.dumps(payload), args.out)
-    elif args.format == "csv":
-        _emit(report.sweep_csv(series), args.out)
+
+    def csv_text() -> str:
+        """The csv holds the series alone; the claims go to stderr."""
         for claim in claims:
-            status = "ok" if claim.passed else "FAILED"
-            print(f"claim {claim.name}: {status}", file=sys.stderr)
-    else:
+            print(f"claim {claim.name}: {'ok' if claim.passed else 'FAILED'}", file=sys.stderr)
+        return report.sweep_csv(series)
+
+    def pretty_text() -> str:
         hospitals = list(series.series)
         rows = [
             [f"{x:g}"] + [_smr_pretty(series.series[h][i]) for h in hospitals]
             for i, x in enumerate(series.values)
         ]
         text = _table_text([series.spec.parameter] + [str(h) for h in hospitals], rows)
-        if claims:
-            lines = [
-                ("  " + (_styled("ok", "32") if c.passed else _styled("FAILED", "31")) + f"  {c.name}")
-                for c in claims
-            ]
-            text += "claims:\n" + "\n".join(lines) + "\n"
-        _emit(text, args.out)
-    if any(not c.passed for c in claims):
-        return 1
-    return 0
+        lines = [f"  {_styled('ok', '32') if c.passed else _styled('FAILED', '31')}  {c.name}\n" for c in claims]
+        return text + ("claims:\n" + "".join(lines) if claims else "")
+
+    _render(args, payload, csv_text, pretty_text)
+    return 1 if any(not c.passed for c in claims) else 0
+
+
+#: command -> (help, builder of its options, handler); see ``_build_parser``.
+COMMANDS = {
+    "compute": ("per-hospital SMR table", _cohort_options, _cmd_compute),
+    "sensitivity": ("closed-form sensitivity analyses", _sensitivity_options, _cmd_sensitivity),
+    "audit": ("five-requirement compliance matrix", _audit_options, _cmd_audit),
+    "scenario": ("built-in example sweeps", _scenario_options, _cmd_scenario),
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser(argv)
     args = parser.parse_args(argv)
-    handlers = {
-        "compute": _cmd_compute,
-        "sensitivity": _cmd_sensitivity,
-        "audit": _cmd_audit,
-        "scenario": _cmd_scenario,
-    }
+    _, _, handler = COMMANDS[args.command]
     try:
-        return handlers[args.command](args, parser)
+        return handler(args, parser)
     except SmrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

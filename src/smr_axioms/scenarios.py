@@ -224,15 +224,14 @@ def evaluate(world: World, hospital: HospitalId) -> float:
 
 
 def run_sweep(spec: ScenarioSpec) -> SweepSeries:
-    """Evaluate every hospital's ratio at every grid point."""
-    hospitals = build_scenario(spec, spec.grid[0]).cohort.ids()
-    series: dict[HospitalId, list[float]] = {h: [] for h in hospitals}
+    """Evaluate every hospital's ratio at every grid point, building each point's world once."""
+    series: dict[HospitalId, list[float]] = {}
     for x in spec.grid:
         world = build_scenario(spec, x)
         for r in core.smr_all(world.cohort, world.scheme, world.standard):
             if not (isfinite(r.smr) and r.smr >= 0.0):
                 raise InvalidParameterError(f"non-finite ratio for {r.hospital!r} at {x!r}")
-            series[r.hospital].append(r.smr)
+            series.setdefault(r.hospital, []).append(r.smr)
     return SweepSeries(spec, spec.grid, {h: tuple(v) for h, v in series.items()})
 
 
@@ -299,9 +298,9 @@ def slope_sign_changes(values: tuple[float, ...]) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def check_claims(spec: ScenarioSpec) -> list[ClaimResult]:
-    """Verify the scenario's qualitative series claims on its default grid."""
-    return _SCENARIOS[spec.name].claims(run_sweep(spec))
+def check_claims(series: SweepSeries) -> list[ClaimResult]:
+    """Verify the scenario's qualitative claims on a series ``run_sweep`` made."""
+    return _SCENARIOS[series.spec.name].claims(series)
 
 
 def _claims_casemix_ext(series: SweepSeries) -> list[ClaimResult]:

@@ -666,6 +666,15 @@ class TestScenarioCommand:
         claims = {c["name"]: c for c in payload["results"]["claims"]}
         assert claims["crossing-at-0.14"]["passed"] is True
 
+    @pytest.mark.parametrize("name", ["casemix-ext", "scale-int"])
+    def test_check_claims_sweeps_once(self, name, capsys, monkeypatch):
+        from smr_axioms import scenarios
+        sweeps = []
+        run_sweep = scenarios.run_sweep
+        monkeypatch.setattr(scenarios, "run_sweep", lambda spec: sweeps.append(spec) or run_sweep(spec))
+        assert main(["scenario", "--name", name, "--check-claims"]) == 0
+        assert len(sweeps) == 1
+
     def test_failed_claim_exits_1(self, capsys):
         code = main(["scenario", "--name", "expected-ext", "--check-claims", "--min", "0.2", "--max", "0.3",
                      "--format", "csv"])

@@ -143,6 +143,15 @@ class TestSweeps:
         spec = ScenarioSpec.default("casemix-ext")
         assert run_sweep(spec) == run_sweep(spec)
 
+    def test_each_grid_world_is_built_once(self, monkeypatch):
+        from smr_axioms import scenarios
+        built = []
+        build = scenarios.build_scenario
+        monkeypatch.setattr(scenarios, "build_scenario", lambda spec, at: built.append(at) or build(spec, at))
+        spec = ScenarioSpec.default("casemix-int")
+        run_sweep(spec)
+        assert built == list(spec.grid)
+
     def test_casemix_ext_directions(self):
         series = run_sweep(ScenarioSpec.default("casemix-ext"))
         h1, h2 = series.hospital("H1"), series.hospital("H2")
@@ -219,14 +228,14 @@ class TestCrossings:
 class TestClaims:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_default_claims_pass(self, name):
-        results = check_claims(ScenarioSpec.default(name))
+        results = check_claims(run_sweep(ScenarioSpec.default(name)))
         assert results, name
         failed = [c for c in results if not c.passed]
         assert not failed, failed
 
     @pytest.mark.parametrize("w11", [0.6, 0.8, 1.0])
     def test_actual_int_claims_per_share(self, w11):
-        results = check_claims(ScenarioSpec.default("actual-int", {"w11": w11}))
+        results = check_claims(run_sweep(ScenarioSpec.default("actual-int", {"w11": w11})))
         assert all(c.passed for c in results), results
         names = {c.name for c in results}
         if w11 == 0.6:
