@@ -7,8 +7,10 @@ builds only its own options and imports only the layers it runs
 handler writes through ``_render``, which builds only the asked format.
 Machine formats (``json``, ``csv``) are byte-deterministic for fixed
 inputs and seed; display rounding happens only in ``pretty`` mode. Exit
-codes: 0 success, 1 data or claim failure (including a ``sensitivity``
-cross-check over its bound), 2 usage error. Set
+codes: 0 success, 1 data or claim failure, 2 usage error. A failure 1
+includes a ``sensitivity`` cross-check over its bound, and an input file
+that is missing, a directory or not UTF-8 (a leading byte-order mark is
+skipped) or an unwritable ``--out``: each gives one ``error:`` line. Set
 ``SMR_AXIOMS_NO_COLOR`` to disable ANSI styling in pretty mode.
 """
 
@@ -111,7 +113,8 @@ def _cohort_options(p: argparse.ArgumentParser) -> None:
 def _sensitivity_options(p: argparse.ArgumentParser) -> None:
     from . import sensitivity
     _cohort_options(p)
-    p.add_argument("--analysis", choices=list(dict.fromkeys(a for a, _ in sensitivity.ANALYSES)), required=True)
+    p.add_argument("--analysis", choices=list(dict.fromkeys(a for a, _ in sensitivity.ANALYSES)),
+                   required=True)
     for option, (key, metavar, kind) in SENSITIVITY_OPTIONS.items():
         p.add_argument(option, dest=key, metavar=metavar, type=kind)
     p.add_argument("--tolerance", type=_finite, default=sensitivity.SIGN_ZERO_TOL,
@@ -260,8 +263,9 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     cells = [(row.measure, v.axiom, v.status, v.trials) for row in matrix.rows for v in row.verdicts]
     color = {"holds": "32", "violated": "31"}
     _render(args, payload, lambda: write_rows([("measure", "axiom", "status", "trials"), *cells]),
-            lambda: _table_text(["measure", "requirement", "status", "trials"],
-                                [[m, axiom, _styled(status, color[status]), str(n)] for m, axiom, status, n in cells]))
+            lambda: _table_text(["measure", "requirement", "status", "trials"], [
+                [m, axiom, _styled(status, color[status]), str(n)] for m, axiom, status, n in cells
+            ]))
     if args.expect_paper and not results["expected_matrix_ok"]:
         print("audit: built-in matrix differs from the expected pattern", file=sys.stderr)
         return 1
@@ -312,7 +316,8 @@ def _cmd_scenario(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             for i, x in enumerate(series.values)
         ]
         text = _table_text([series.spec.parameter] + [str(h) for h in hospitals], rows)
-        lines = [f"  {_styled('ok', '32') if c.passed else _styled('FAILED', '31')}  {c.name}\n" for c in claims]
+        lines = [f"  {_styled('ok', '32') if c.passed else _styled('FAILED', '31')}  {c.name}\n"
+                 for c in claims]
         return text + ("claims:\n" + "".join(lines) if claims else "")
 
     _render(args, payload, csv_text, pretty_text)
@@ -335,7 +340,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     _, _, handler = COMMANDS[args.command]
     try:
         return handler(args, parser)
-    except SmrError as exc:
+    except (SmrError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,8 +39,8 @@ column then ``-y, x`` sums as the column with x in place of y. Any other
 copy sums its own cells. Totals beyond the float range raise ``TotalOverflowError``.
 
 Cells with ``count == 0`` may carry a rate (it is ignored by all rate
-aggregations) or leave it undefined. A zero expected rate is a typed
-error, never an infinity.
+aggregations) or leave it undefined. A zero expected rate, or one so
+near zero that the ratio overflows, is a typed error, never an infinity.
 
 Each count and rate is validated once, when its ``StratumCell`` or
 ``ExternalStandard`` is built; ``csvio`` leaves a hospitals row's values to
@@ -392,10 +392,12 @@ def smr(table: StratumTable, rates: Rates, scheme: Scheme) -> SmrResult:
     total = _require_patients(table)
     actual = fsum(c.count * c.rate for c in table.cells.values() if c.count > 0.0) / total
     expected = _expected_deaths(table, rates) / total
-    if expected <= 0.0:
+    ratio = actual / expected if expected > 0.0 else inf
+    if ratio == inf:
         benchmark = "the standard" if scheme == EXTERNAL else "the internal benchmark"
-        raise ZeroExpectedRateError(f"hospital {table.hospital!r} has zero expected mortality under {benchmark}")
-    return SmrResult(table.hospital, actual, expected, actual / expected, scheme)
+        size = "zero" if expected <= 0.0 else f"near-zero ({expected!r})"
+        raise ZeroExpectedRateError(f"hospital {table.hospital!r} has {size} expected mortality under {benchmark}")
+    return SmrResult(table.hospital, actual, expected, ratio, scheme)
 
 
 def internal_standard(cohort: Cohort) -> dict[StratumId, float]:

@@ -1,6 +1,7 @@
 """CSV ingestion and emission.
 
-Interchange schemas (UTF-8, comma-delimited, ``.`` decimal separator):
+Interchange schemas (UTF-8, a leading byte-order mark skipped, comma-delimited,
+``.`` decimal separator):
 
 * hospitals file, header ``hospital_id,stratum_id,patients,mortality_rate``;
   an empty ``mortality_rate`` means undefined and is only legal when
@@ -66,7 +67,7 @@ def load_hospitals(path: str | Path) -> Cohort:
     """Read a hospitals file into a cohort, in file order."""
     tables: dict[str, dict[str, StratumCell]] = {}
     strata: dict[str, str] = {}  # one string per stratum id, shared by every hospital's cells
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         _check_header(next(reader, None), HOSPITALS_HEADER, str(path))
         for row_no, row in enumerate(reader, start=2):
@@ -95,7 +96,7 @@ def load_hospitals(path: str | Path) -> Cohort:
 def load_standard(path: str | Path) -> ExternalStandard:
     """Read a standard file."""
     rates: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         _check_header(next(reader, None), STANDARD_HEADER, str(path))
         for row_no, row in enumerate(reader, start=2):

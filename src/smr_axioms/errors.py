@@ -25,7 +25,7 @@ class MissingStandardRateError(SmrError):
 
 
 class ZeroExpectedRateError(SmrError):
-    """The expected mortality rate is zero; the ratio is undefined."""
+    """The expected mortality rate is zero, or so near it that the ratio overflows."""
 
 
 class TotalOverflowError(SmrError):

@@ -123,9 +123,9 @@ class ScenarioSpec:
         if name not in _SCENARIOS:
             raise InvalidParameterError(f"unknown scenario {name!r}")
         d_lo, d_hi, d_step = _SCENARIOS[name].default_grid
-        lo = d_lo if lo is None else lo
-        hi = d_hi if hi is None else hi
-        step = d_step if step is None else step
+        lo = d_lo if lo is None else core._as_float(lo, "grid min")
+        hi = d_hi if hi is None else core._as_float(hi, "grid max")
+        step = d_step if step is None else core._as_float(step, "grid step")
         if not all(map(isfinite, (lo, hi, step))):
             raise InvalidParameterError(f"grid min, max and step must be finite, got {lo!r}, {hi!r}, {step!r}")
         if step <= 0.0 or hi < lo:
@@ -214,8 +214,9 @@ def _build_actual_int(p11: float, overrides: Mapping[str, float]) -> World:
 def build_scenario(spec: ScenarioSpec, at: float) -> World:
     """Materialize the scenario at one parameter value."""
     scenario = _SCENARIOS[spec.name]
+    at = core._as_float(at, spec.parameter)
     scenario.check_range(at)
-    return scenario.build(float(at), spec.overrides)
+    return scenario.build(at, spec.overrides)
 
 
 def evaluate(world: World, hospital: HospitalId) -> float:

@@ -24,10 +24,11 @@ only the benchmark-side rate difference differs.
 Discrete changes (case-mix shifts, hospital scaling, added patients)
 obey exact algebraic identities: the closed form and the recomputation
 agree to rounding noise, ``|value - fd_check| <= 1e-12 * max(1, |SMR
-before|, |SMR after|)``, which is 1e-12 absolute for ratios at most 1.
-Derivative-style operations (marginal effects, differentials) agree
-with central finite differences (absolute step ``FD_STEP``, one-sided
-at the [0, 1] boundary) to ``1e-5 * max(1, |value|, |fd_check|)``.
+before|, |SMR after|)``, which is 1e-12 absolute for ratios at most 1;
+their sign is ``zero`` within ``zero_tol`` times that scale.
+Derivative-style operations (marginal effects, differentials) agree with
+central finite differences (absolute step ``FD_STEP``, one-sided at the
+[0, 1] boundary) to ``1e-5 * max(1, |value|, |fd_check|)``.
 
 :data:`ANALYSES` holds the command line's 13 analyses, one row per
 (analysis, scheme): the report function, the parameters it needs and
@@ -77,7 +78,7 @@ from .errors import (
 
 Sign = Literal["increase", "zero", "decrease"]
 
-#: |value| at or below this classifies as "zero".
+#: |value| at or below this classifies as "zero"; an exact row's band is this times ``_ratio_scale``.
 SIGN_ZERO_TOL = 1e-12
 #: Absolute step of the central finite differences.
 FD_STEP = 1e-6
@@ -142,10 +143,11 @@ class SensitivityReport:
     flags: tuple[str, ...] = ()
 
 
-def classify_sign(value: float, zero_tol: float = SIGN_ZERO_TOL) -> Sign:
+def classify_sign(value: float, zero_tol: float = SIGN_ZERO_TOL, scale: float = 1.0) -> Sign:
+    """``zero`` when ``|value| <= zero_tol * scale``, else the sign of ``value``."""
     if not zero_tol >= 0.0:  # a negative band would report an exact 0 as a decrease
         raise InvalidParameterError(f"zero_tol must be >= 0, got {zero_tol!r}")
-    if abs(value) <= zero_tol:
+    if abs(value) <= zero_tol * scale:
         return "zero"
     return "increase" if value > 0.0 else "decrease"
 
@@ -158,9 +160,12 @@ def _report(
     details: Mapping[str, object],
     rel: Mapping[Sign, str] = _REL,
     flags: tuple[str, ...] = (),
+    exact: bool = False,
 ) -> SensitivityReport:
-    """Report ``value``, with the relation of its sign in the ``{}`` of ``condition``."""
-    sign = classify_sign(value, zero_tol)
+    """Report ``value``, with the relation of its sign in the ``{}`` of ``condition``.
+
+    An ``exact`` row's zero band scales with its ratios, as its cross-check bound does."""
+    sign = classify_sign(value, zero_tol, _ratio_scale(details) if exact else 1.0)
     return SensitivityReport(value, sign, condition.format(rel[sign]), fd, details, flags)
 
 
@@ -169,13 +174,17 @@ def _unexposed(condition: str, zero_tol: float, **details: object) -> Sensitivit
     return SensitivityReport(0.0, classify_sign(0.0, zero_tol), condition, 0.0, details)
 
 
+def _ratio_scale(details: Mapping[str, Any]) -> float:
+    """``max(1, |SMR|, |SMR before|, |SMR after|)`` over the ratios in ``details``."""
+    return max([1.0, *(abs(details[key]) for key in ("smr", "smr_before", "smr_after") if key in details)])
+
+
 def cross_check(report: SensitivityReport, kind: str) -> tuple[float, float]:
     """``(residual, bound)`` of the report's cross-check of ``kind``; see the module docstring."""
     residual = abs(report.value - report.fd_check)
     if kind == "derivative":
         return residual, FD_REL_TOL * max(abs(report.value), abs(report.fd_check), 1.0)
-    ratios = [abs(report.details[key]) for key in ("smr", "smr_before", "smr_after") if key in report.details]
-    return residual, core.EXACT_TOL * max([1.0, *ratios])
+    return residual, core.EXACT_TOL * _ratio_scale(report.details)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +284,8 @@ def _shift_report(
     value = numerator / denominator
     fd = after - before.smr
     details = {**details, "actual_diff": actual_diff, "smr_before": before.smr, "smr_after": after}
-    return _report(value, zero_tol, f"(p_hk - p_hl) {{}} ({benchmark}) * SMR", fd, details, flags=flags)
+    condition = f"(p_hk - p_hl) {{}} ({benchmark}) * SMR"
+    return _report(value, zero_tol, condition, fd, details, flags=flags, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +352,8 @@ def scale_invariance_external(
     """
     before = core.smr_external(table, standard)
     value = _ratio(World(Cohort((table,)), standard), table.hospital, scale_hospital(table, change)) - before.smr
-    return _report(value, zero_tol, "scale factor cancels", value, {"factor": change.factor, "smr": before.smr})
+    details = {"factor": change.factor, "smr": before.smr}
+    return _report(value, zero_tol, "scale factor cancels", value, details, exact=True)
 
 
 def me_actual_external(
@@ -533,7 +544,12 @@ def delta_smr_scale_internal(
     directions: dict[StratumId, str] = {}
     versus_mean: dict[StratumId, str] = {}
     for sid in table.populated():
-        d = standard_before[sid] - standard_after[sid]
+        try:
+            d = standard_before[sid] - standard_after[sid]
+        except KeyError:  # the scaled count rounded to 0, and nobody else treats the stratum
+            raise InvalidParameterError(
+                f"scale factor {change.factor!r} rounds stratum {sid!r} of {hospital!r} to 0 patients"
+            ) from None
         directions[sid] = classify_sign(d, zero_tol)
         own = table.cell(sid).rate
         gap = own - standard_before[sid]
@@ -552,7 +568,7 @@ def delta_smr_scale_internal(
         "standard_shift_sign": directions,
         "hospital_vs_mean": versus_mean,
     }
-    return _report(value, zero_tol, "pbar_e(before) {} pbar_e(after)", fd, details)
+    return _report(value, zero_tol, "pbar_e(before) {} pbar_e(after)", fd, details, exact=True)
 
 
 def smr_internal_scale_limit(cohort: Cohort, hospital: HospitalId) -> float:
@@ -770,7 +786,7 @@ def _add_patients(
     table = cohort.table(hospital)
     grown = with_cell(table, stratum, table.count(stratum) + eta, table.rate(stratum))
     fd = World(cohort).with_table(grown).rates()[stratum] - core.internal_standard(cohort)[stratum]
-    return _report(value, zero_tol, "p_ik vs stratum mean", fd, {"eta": eta})
+    return _report(value, zero_tol, "p_ik vs stratum mean", fd, {"eta": eta}, exact=True)
 
 
 @dataclass(frozen=True)

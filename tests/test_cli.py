@@ -168,6 +168,70 @@ class TestCompute:
         assert main(argv + (["--standard", str(standard)] if scheme == "external" else [])) == 1
         assert capsys.readouterr().err == "error: patient count must be finite and >= 0, got inf\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_a_ratio_that_overflows_is_data_error_in_every_format(self, fmt, tmp_path, capsys):
+        hospitals = tmp_path / "h.csv"
+        hospitals.write_text("hospital_id,stratum_id,patients,mortality_rate\nA,1,10,0.5\n")
+        standard = tmp_path / "s.csv"
+        standard.write_text("stratum_id,expected_rate\n1,5e-324\n")
+        argv = ["compute", "--hospitals", str(hospitals), "--standard", str(standard), "--scheme", "external"]
+        assert main(argv + ["--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: hospital 'A' has near-zero (5e-324) expected mortality under the standard\n"
+
+    def test_scaling_a_count_to_zero_is_data_error(self, tmp_path, capsys):
+        hospitals = tmp_path / "h.csv"
+        hospitals.write_text("hospital_id,stratum_id,patients,mortality_rate\nA,1,5e-324,0.5\nA,2,10,0.2\nB,2,10,0.3\n")
+        argv = ["sensitivity", "--hospitals", str(hospitals), "--scheme", "internal",
+                "--analysis", "scale", "--hospital", "A", "--lambda", "0.5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: scale factor 0.5 rounds stratum '1' of 'A' to 0 patients\n"
+
+
+class TestFileErrors:
+    """A file the command cannot read or write gives one ``error:`` line and exit 1."""
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf-8", "out-missing-dir", "out-directory"])
+    def test_one_error_line_and_exit_1(self, case, table2, tmp_path, capsys):
+        hospitals, _ = table2
+        out = None
+        if case == "missing":
+            hospitals = tmp_path / "missing.csv"
+        elif case == "directory":
+            hospitals = tmp_path
+        elif case == "not-utf-8":
+            hospitals = tmp_path / "latin1.csv"
+            hospitals.write_bytes(TWO_STRATA_CSV.replace("H1", "H\xe9").encode("latin-1"))
+        else:
+            out = tmp_path / "no-such-dir" / "out.json" if case == "out-missing-dir" else tmp_path
+        argv = ["compute", "--hospitals", str(hospitals), "--scheme", "internal"]
+        assert main(argv + (["--out", str(out)] if out else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+    def test_a_standard_that_is_missing_is_data_error(self, table2, tmp_path, capsys):
+        hospitals, _ = table2
+        argv = ["compute", "--hospitals", str(hospitals), "--standard", str(tmp_path / "none.csv"),
+                "--scheme", "external"]
+        assert main(argv) == 1
+        assert "No such file" in capsys.readouterr().err
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(TWO_HOSPITAL_CSV, encoding="utf-8")
+        marked.write_text(TWO_HOSPITAL_CSV, encoding="utf-8-sig")
+        standard = tmp_path / "s.csv"
+        standard.write_text(FLAT_STANDARD_CSV, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfhospital_id")
+        runs = []
+        for path in (plain, marked):
+            assert main(["compute", "--hospitals", str(path), "--standard", str(standard),
+                         "--scheme", "external"]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+
 
 class TestIngestValidation:
     def test_populated_row_without_rate(self, tmp_path, capsys):
@@ -487,6 +551,19 @@ class TestSensitivityCommand:
         assert loose["results"]["report"]["sign"] == "zero"
         assert strict["inputs_digest"] != loose["inputs_digest"]
         assert default["inputs_digest"] == strict["inputs_digest"]
+
+    def test_exact_zero_band_scales_with_the_ratio(self, tmp_path, capsys):
+        # the scale factor cancels exactly; at an SMR near 1.3e4 the recomputation's rounding is -1.8e-12
+        hospitals, standard = tmp_path / "h.csv", tmp_path / "s.csv"
+        hospitals.write_text("hospital_id,stratum_id,patients,mortality_rate\nA,1,7,0.3\nA,2,13,0.45\nA,3,3,0.2\n")
+        standard.write_text("stratum_id,expected_rate\n1,1e-5\n2,3e-5\n3,7e-5\n")
+        code, payload = run_json(capsys, ["sensitivity", "--hospitals", str(hospitals), "--standard", str(standard),
+                                          "--scheme", "external", "--analysis", "scale", "--hospital", "A",
+                                          "--lambda", "7"])
+        report = payload["results"]["report"]
+        assert code == 0
+        assert report["value"] == pytest.approx(-1.82e-12, rel=1e-2)
+        assert report["sign"] == "zero"
 
     def test_add_patients(self, tmp_path, capsys):
         hospitals = tmp_path / "h.csv"

@@ -811,6 +811,13 @@ class TestSmr:
         with pytest.raises(ZeroExpectedRateError):
             core.smr(table, {"1": 0.0, "2": 0.0}, "external")
 
+    @pytest.mark.parametrize("scheme, label", [("external", "the standard"), ("internal", "the internal benchmark")])
+    def test_a_ratio_that_overflows_is_refused(self, scheme, label):
+        table = StratumTable.build("H", {"1": (10.0, 0.5)})
+        with pytest.raises(ZeroExpectedRateError, match=rf"'H' has near-zero \(5e-324\) expected mortality under {label}$"):
+            core.smr(table, {"1": 5e-324}, scheme)
+        assert core.smr(table, {"1": 1e-300}, scheme).smr == 0.5 / 1e-300
+
 
 class TestWorldWithTable:
     @given(st.integers(0, 10_000))

@@ -1,5 +1,7 @@
 """Built-in scenarios: fidelity, sweeps, crossings and claims."""
 
+from dataclasses import replace
+
 import pytest
 
 from smr_axioms import ScenarioSpec, build_scenario, check_claims, find_crossing, run_sweep
@@ -137,6 +139,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameterError, match="must be finite"):
             ScenarioSpec.default("scale-ext", **bounds)
 
+    @pytest.mark.parametrize("bounds", [{"step": 0.0}, {"step": -0.1}, {"lo": 3.0, "hi": 2.0}],
+                             ids=["step-zero", "step-negative", "max-below-min"])
+    def test_empty_or_backward_grid_rejected(self, bounds):
+        with pytest.raises(InvalidParameterError, match="grid needs step > 0 and max >= min"):
+            ScenarioSpec.default("scale-ext", **bounds)
+
+    @pytest.mark.parametrize("bounds, what", [({"lo": "x"}, "grid min"), ({"hi": [1.0]}, "grid max"),
+                                              ({"step": object()}, "grid step")])
+    def test_non_numeric_grid_bounds_rejected(self, bounds, what):
+        with pytest.raises(InvalidParameterError, match=f"{what} must be a number"):
+            ScenarioSpec.default("scale-ext", **bounds)
+
+    def test_non_numeric_parameter_value_rejected(self):
+        with pytest.raises(InvalidParameterError, match="lambda must be a number, got 'x'"):
+            build_scenario(ScenarioSpec.default("scale-ext"), "x")
+        spec = ScenarioSpec.default("scale-ext")
+        assert build_scenario(spec, "2") == build_scenario(spec, 2.0)
+
 
 class TestSweeps:
     def test_deterministic(self):
@@ -242,3 +262,56 @@ class TestClaims:
             assert "h1-strictly-increasing" in names
         else:
             assert "h1-strictly-decreasing-on-[0.4,1]" in names
+
+
+def _flat(h):
+    return lambda series: {**series, h: (series[h][0],) * len(series[h])}
+
+
+def _bumped(h):
+    return lambda series: {**series, h: (series[h][0] + 1.0, *series[h][1:])}
+
+
+def _above(h, other):
+    """``h`` one above ``other`` everywhere, so the two never meet."""
+    return lambda series: {**series, h: tuple(v + 1.0 for v in series[other])}
+
+
+#: (scenario, claim) -> (overrides, change of the swept series) on which the claim must fail.
+FAILING_SERIES = {
+    ("casemix-ext", "h1-strictly-increasing"): ({}, _flat("H1")),
+    ("casemix-ext", "h2-strictly-decreasing"): ({}, _flat("H2")),
+    ("casemix-ext", "no-crossing"): ({}, lambda series: {**series, "H2": series["H1"]}),
+    ("scale-ext", "series-constant"): ({}, _bumped("H1")),
+    ("actual-ext", "ranking-flips-at-standard"): ({}, lambda series: {"H1": series["H2"], "H2": series["H1"]}),
+    ("expected-ext", "crossing-at-0.14"): ({}, _above("H2", "H1")),
+    ("casemix-int", "h1-single-interior-maximum"): ({}, lambda series: {**series, "H1": tuple(sorted(series["H1"]))}),
+    ("casemix-int", "h2-strictly-decreasing"): ({}, _flat("H2")),
+    ("scale-int", "h1-h3-crossing-between-2-and-3"): ({}, _above("H3", "H1")),
+    ("actual-int", "h1-strictly-increasing"): ({"w11": 0.6}, _flat("H1")),
+    ("actual-int", "h1-strictly-decreasing-on-[0.4,1]"): ({}, _flat("H1")),
+    ("actual-int", "h3-unaffected"): ({}, _bumped("H3")),
+    ("actual-int", "h2-strictly-decreasing"): ({}, _flat("H2")),
+    ("actual-int", "h2-unaffected"): ({"w11": 1.0}, _bumped("H2")),
+}
+
+#: Claims that evaluate the model at fixed points and never read the swept series.
+MODEL_ONLY = {"equal-ratios-at-standard", "h1-approaches-unity", "h1-monotone-approach"}
+
+
+class TestClaimsCanFail:
+    """Each claim that reads the series reports a failure on a series crafted to break it."""
+
+    def test_every_series_claim_has_a_failing_series(self):
+        runs = [(name, {}) for name in SCENARIO_NAMES] + [("actual-int", {"w11": w11}) for w11 in (0.6, 1.0)]
+        claims = {(name, c.name) for name, overrides in runs
+                  for c in check_claims(run_sweep(ScenarioSpec.default(name, overrides)))}
+        assert {key for key in claims if key[1] not in MODEL_ONLY} == set(FAILING_SERIES)
+
+    @pytest.mark.parametrize("key", sorted(FAILING_SERIES), ids="/".join)
+    def test_claim_fails_on_the_crafted_series(self, key):
+        (name, claim), (overrides, change) = key, FAILING_SERIES[key]
+        series = run_sweep(ScenarioSpec.default(name, overrides))
+        crafted = replace(series, series=change(dict(series.series)))
+        assert {c.name: c.passed for c in check_claims(series)}[claim] is True
+        assert {c.name: c.passed for c in check_claims(crafted)}[claim] is False

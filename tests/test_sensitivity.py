@@ -87,6 +87,11 @@ class TestClassifySign:
     def test_the_zero_band_includes_its_edge(self, value, zero_tol, sign):
         assert classify_sign(value, zero_tol) == sign
 
+    def test_the_band_scales(self):
+        assert classify_sign(-5e-12) == "decrease"
+        assert classify_sign(-5e-12, SIGN_ZERO_TOL, 5.0) == "zero"
+        assert classify_sign(-5e-12, SIGN_ZERO_TOL, 4.0) == "decrease"
+
     @pytest.mark.parametrize("zero_tol", [-1.0, -5e-324, float("-inf"), float("nan")])
     def test_a_band_below_zero_is_refused(self, zero_tol):
         with pytest.raises(InvalidParameterError, match="zero_tol must be >= 0"):
@@ -429,7 +434,34 @@ class TestOmegaInternal:
             omega_internal(cohort, "H1", CaseMixShift("1", "2", 5.0))
 
 
+class TestRelativeZeroBand:
+    """An exact row's zero band is ``zero_tol * max(1, |SMR before|, |SMR after|)``, its cross-check's scale."""
+
+    @pytest.mark.parametrize("exponent", range(-6, 10))
+    @pytest.mark.parametrize("factor", [0.3, 2.0, 7.0, 1e3])
+    def test_scale_invariance_reports_zero_at_any_ratio(self, exponent, factor):
+        rates = 10.0 ** min(exponent, 0)  # the hospital's rates bring the SMR below 1, the standard's above
+        table = StratumTable.build("A", {"1": (7.0, 0.3 * rates), "2": (13.0, 0.45 * rates), "3": (3.0, 0.2 * rates)})
+        standard = ExternalStandard({s: r * 10.0 ** -max(exponent, 0) for s, r in (("1", 0.3), ("2", 0.4), ("3", 0.35))})
+        report = scale_invariance_external(table, standard, ScaleChange(factor))
+        assert 10.0 ** exponent <= report.details["smr"] <= 1.1 * 10.0 ** exponent
+        assert report.sign == "zero"
+        assert report.condition == "scale factor cancels"
+
+    def test_a_derivative_row_keeps_the_absolute_band(self):
+        table = StratumTable.build("A", {"1": (7.0, 0.3), "2": (13.0, 0.45)})
+        standard = ExternalStandard({"1": 3e-5, "2": 5e-5})
+        report = dsmr_uniform_expected_external(table, standard, 2e-20)
+        assert report.details["smr"] > 1e3 and SIGN_ZERO_TOL < -report.value < SIGN_ZERO_TOL * report.details["smr"]
+        assert report.sign == "decrease"
+
+
 class TestScaleInternal:
+    def test_a_count_rounded_to_zero_is_refused(self):
+        cohort = Cohort.build({"A": {"1": (5e-324, 0.5), "2": (10.0, 0.2)}, "B": {"2": (10.0, 0.3)}})
+        with pytest.raises(InvalidParameterError, match="scale factor 0.5 rounds stratum '1' of 'A' to 0 patients"):
+            delta_smr_scale_internal(cohort, "A", ScaleChange(0.5))
+
     def test_worked_cohort_decline(self):
         spec = ScenarioSpec("scale-int", (1.0,))
         world = build_scenario(spec, 1.0)
