@@ -786,7 +786,7 @@ def _add_patients(
     table = cohort.table(hospital)
     grown = with_cell(table, stratum, table.count(stratum) + eta, table.rate(stratum))
     fd = World(cohort).with_table(grown).rates()[stratum] - core.internal_standard(cohort)[stratum]
-    return _report(value, zero_tol, "p_ik vs stratum mean", fd, {"eta": eta}, exact=True)
+    return _report(value, zero_tol, "p_ik vs stratum mean", fd, {"eta": eta})
 
 
 @dataclass(frozen=True)
