@@ -21,12 +21,11 @@ probes, and reports the first counterexample as a replayable witness.
 "Holds" always means "no violation found in N trials", never a proof.
 
 Each requirement is one row of a table (name, check,
-:class:`ProbeGenerator` method) that ``AXIOMS`` and
-:meth:`ProbeGenerator.stream` read. A second table maps each
-(requirement, scheme) to the builder of its hand-built probes, and
-:func:`mandatory_probes` refuses a pair it does not hold. The audit runs
-those probes first, so a measure whose scheme is neither ``external``
-nor ``internal`` is refused, never audited against the wrong probes.
+:class:`ProbeGenerator` method, hand-built probes per scheme). One lookup
+serves :func:`mandatory_probes` and :meth:`ProbeGenerator.stream` and
+refuses a scheme the row holds no probes for, so a measure whose scheme
+is neither ``external`` nor ``internal`` is refused, never audited
+against the wrong probes.
 Monotonicity, case mix and scale share a perturbation driver: each probe
 type perturbs one hospital and describes the move. Equivalence and
 dominance share a pair driver that admits a pair once its relation holds.
@@ -43,6 +42,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from random import Random
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
 
@@ -417,13 +417,13 @@ def check_dominance(
 # ---------------------------------------------------------------------------
 
 
-def _world(name: str, at: float, overrides: Mapping[str, float] | None = None) -> World:
+def _scenario(name: str, at: float, overrides: Mapping[str, float] | None = None) -> World:
     return scenarios.build_scenario(scenarios.ScenarioSpec(name, (at,), overrides or {}), at)
 
 
 def _internal_equivalence_probes() -> list[PairProbe]:
     """The external pairs judged against the endogenous benchmark, then twins with identical rates."""
-    probes = [replace(p, world=World(p.world.cohort)) for p in _MANDATORY["equivalence", "external"]()]
+    probes = [replace(p, world=World(p.world.cohort)) for p in mandatory_probes("equivalence", "external")]
     twin = Cohort.build({"A": {"1": (10.0, 0.1), "2": (90.0, 0.3)},
                          "B": {"1": (90.0, 0.1), "2": (10.0, 0.3)},
                          "C": {"1": (50.0, 0.2), "2": (50.0, 0.2)}})
@@ -431,34 +431,11 @@ def _internal_equivalence_probes() -> list[PairProbe]:
 
 
 def _internal_dominance_probes() -> list[PairProbe]:
-    world = _world("actual-int", 1.0, {"w11": 1.0})
+    world = _scenario("actual-int", 1.0, {"w11": 1.0})
     h3 = world.cohort.table("H3")
     # H3 treats nobody in stratum 1; a supplied rate (tied with H1's
     # 1.0) makes the pair comparable without touching any ratio.
     return [PairProbe(world.with_table(with_cell(h3, "1", 0.0, 1.0)), "H3", "H1", "dominates")]
-
-
-#: (axiom, scheme) -> builder of its hand-built probes, called once per audited cell.
-_MANDATORY: dict[tuple[str, Scheme], Callable[[], list]] = {
-    ("strict_monotonicity", "external"): lambda: [
-        MonotonicityProbe(_world("actual-ext", 0.1), "H1", "1", 1e-3)],
-    ("strict_monotonicity", "internal"): lambda: [
-        MonotonicityProbe(_world("actual-int", 0.5, {"w11": 0.8}), "H1", "1", 1e-3)],
-    ("case_mix_insensitivity", "external"): lambda: [
-        CaseMixProbe(_world("casemix-ext", 0.0), "H1", CaseMixShift("1", "2", 5.0))],
-    ("case_mix_insensitivity", "internal"): lambda: [
-        CaseMixProbe(_world("casemix-int", 0.0), "H1", CaseMixShift("1", "2", 10.0))],
-    ("scale_insensitivity", "external"): lambda: [
-        ScaleProbe(_world("scale-ext", 1.0), "H1", factor) for factor in (2.0, 3.0, 4.0, 5.0)],
-    ("scale_insensitivity", "internal"): lambda: [ScaleProbe(_world("scale-int", 1.0), "H1", 2.0)],
-    ("equivalence", "external"): lambda: [
-        PairProbe(_world("actual-ext", p), "H1", "H2", "identical-deviations")
-        for p in (0.05, 0.075, 0.1, 0.125, 0.15)],
-    ("equivalence", "internal"): _internal_equivalence_probes,
-    ("dominance", "external"): lambda: [
-        PairProbe(_world("expected-ext", p), "H2", "H1", "dominates") for p in (0.2, 0.25, 0.3)],
-    ("dominance", "internal"): _internal_dominance_probes,
-}
 
 
 _STRATA = {k: tuple(f"S{i}" for i in range(1, k + 1)) for k in range(2, 7)}
@@ -467,20 +444,19 @@ _STRATA = {k: tuple(f"S{i}" for i in range(1, k + 1)) for k in range(2, 7)}
 class ProbeGenerator:
     """Seeded random probe source.
 
-    Counts are log-uniform in [1, 1000], rates uniform in [0.01, 0.5],
-    strata counts in [2, 6]; the bounds keep every denominator well away
-    from zero so that "holds" verdicts are not rounding artifacts. Values in
-    range and distinct ids by construction let it build through ``_trusted``.
+    The region, per world: 2-6 strata that every hospital populates, counts
+    log-uniform in [1, 1000], rates uniform in [0.01, 0.5] (a pair's rates
+    may reach [0, 0.55]). An external world holds the probed hospitals and a
+    drawn standard, rates in [0.01, 0.5]; an internal world holds them and
+    one or two drawn peers, and its equivalence pairs always share rates.
+    No cell is empty and no stratum is one hospital's own, so "holds" covers
+    neither. The bounds keep every denominator well away from zero so that
+    "holds" verdicts are not rounding artifacts. Values in range and distinct
+    ids by construction let it build through ``_trusted``.
     """
 
     def __init__(self, seed: int):
         self._rng = Random(seed)
-
-    def _count(self) -> float:
-        return 10.0 ** self._rng.uniform(0.0, 3.0)
-
-    def _rate(self) -> float:
-        return self._rng.uniform(0.01, 0.5)
 
     def _strata(self) -> tuple[str, ...]:
         return _STRATA[self._rng.randint(2, 6)]
@@ -490,54 +466,57 @@ class ProbeGenerator:
         cells = {sid: StratumCell(10.0 ** uniform(0.0, 3.0), uniform(0.01, 0.5)) for sid in strata}
         return StratumTable._trusted(hospital, cells)
 
+    def _rated(self, hospital: str, rates: Mapping[str, float]) -> StratumTable:
+        uniform = self._rng.uniform  # the counts of _table, with the rates given
+        cells = {sid: StratumCell(10.0 ** uniform(0.0, 3.0), rate) for sid, rate in rates.items()}
+        return StratumTable._trusted(hospital, cells)
+
     def _standard(self, strata: Sequence[str]) -> ExternalStandard:
         uniform = self._rng.uniform
         return ExternalStandard._trusted({sid: uniform(0.01, 0.5) for sid in strata})
 
-    def _single_world(self, scheme: Scheme, strata: Sequence[str]) -> World:
-        """The probed hospital ``A``: alone with a standard, or with one or two peers if internal."""
+    def _world(self, scheme: Scheme, strata: Sequence[str], probed: tuple[StratumTable, ...],
+               standard: ExternalStandard | None = None) -> World:
+        """The probed tables plus one or two drawn peers if internal, else a standard (drawn unless given)."""
         if scheme == "internal":
-            hospitals = ("A", "B", "C")[: self._rng.randint(2, 3)]
-            return World(Cohort._trusted(tuple(self._table(h, strata) for h in hospitals)))
-        return World(Cohort._trusted((self._table("A", strata),)), self._standard(strata))
+            peers = "ABCD"[len(probed): len(probed) + self._rng.randint(1, 2)]
+            return World(Cohort._trusted(probed + tuple(self._table(h, strata) for h in peers)))
+        return World(Cohort._trusted(probed), self._standard(strata) if standard is None else standard)
 
     def monotonicity(self, scheme: Scheme) -> Iterator[MonotonicityProbe]:
         while True:
             strata = self._strata()
-            world = self._single_world(scheme, strata)
+            world = self._world(scheme, strata, (self._table("A", strata),))
             yield MonotonicityProbe(world, "A", self._rng.choice(strata), 1e-3)
 
     def case_mix(self, scheme: Scheme) -> Iterator[CaseMixProbe]:
         while True:
             strata = self._strata()
-            world = self._single_world(scheme, strata)
+            world = self._world(scheme, strata, (self._table("A", strata),))
             donor, receiver = self._rng.sample(strata, 2)
             eta = world.cohort.table("A").count(donor) * self._rng.uniform(0.1, 0.9)
             yield CaseMixProbe(world, "A", CaseMixShift(donor, receiver, eta))
 
     def scale(self, scheme: Scheme) -> Iterator[ScaleProbe]:
         while True:
-            world = self._single_world(scheme, self._strata())
+            strata = self._strata()
+            world = self._world(scheme, strata, (self._table("A", strata),))
             yield ScaleProbe(world, "A", 10.0 ** self._rng.uniform(-0.6, 0.6))
 
     def equivalence(self, scheme: Scheme) -> Iterator[PairProbe]:
         while True:
             strata = self._strata()
-            # internal pairs get a third hospital and always identical rates
-            standard = None if scheme == "internal" else self._standard(strata)
+            # identical deviations need the standard before the pair's rates
+            standard = self._standard(strata) if scheme == "external" else None
             if standard is None or self._rng.random() < 0.5:
-                rates = {sid: self._rate() for sid in strata}
+                rates = {sid: self._rng.uniform(0.01, 0.5) for sid in strata}
                 relation = "identical-rates"
             else:
-                rates = {
-                    sid: min(1.0, max(0.0, standard.rate(sid) + self._rng.uniform(-0.05, 0.05)))
-                    for sid in strata
-                }
+                rates = {sid: min(1.0, max(0.0, standard.rate(sid) + self._rng.uniform(-0.05, 0.05)))
+                         for sid in strata}
                 relation = "identical-deviations"
-            a = StratumTable._trusted("A", {s: StratumCell(self._count(), rates[s]) for s in strata})
-            b = StratumTable._trusted("B", {s: StratumCell(self._count(), rates[s]) for s in strata})
-            tables = (a, b) if standard is not None else (a, b, self._table("C", strata))
-            yield PairProbe(World(Cohort._trusted(tables), standard), "A", "B", relation)
+            world = self._world(scheme, strata, (self._rated("A", rates), self._rated("B", rates)), standard)
+            yield PairProbe(world, "A", "B", relation)
 
     def dominance(self, scheme: Scheme) -> Iterator[PairProbe]:
         while True:
@@ -548,16 +527,12 @@ class ProbeGenerator:
             for sid in strata:
                 if sid == cut or self._rng.random() < 0.5:
                     better[sid] = max(0.01, worse[sid] - self._rng.uniform(0.005, 0.04))
-            a = StratumTable._trusted("A", {s: StratumCell(self._count(), better[s]) for s in strata})
-            b = StratumTable._trusted("B", {s: StratumCell(self._count(), worse[s]) for s in strata})
-            standard = None if scheme == "internal" else self._standard(strata)
-            yield PairProbe(World(Cohort._trusted((a, b)), standard), "A", "B", "dominates")
+            world = self._world(scheme, strata, (self._rated("A", better), self._rated("B", worse)))
+            yield PairProbe(world, "A", "B", "dominates")
 
     def stream(self, axiom: str, scheme: Scheme) -> Iterator:
         """Endless random probes of one requirement; an unknown axiom or scheme is refused."""
-        if (axiom, scheme) not in _MANDATORY:
-            raise InvalidParameterError(f"no probes for axiom {axiom!r} under scheme {scheme!r}")
-        return _ROWS[axiom].generate(self, scheme)
+        return _row(axiom, scheme).generate(self, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -567,25 +542,56 @@ class ProbeGenerator:
 
 @dataclass(frozen=True)
 class _Axiom:
-    """One requirement: its name, its check and its random probe stream."""
+    """One requirement: its name, its check, its random probe stream and its hand-built probes per scheme."""
 
     name: str
     check: Callable[[Measure, Iterable], AxiomVerdict]
     generate: Callable[[ProbeGenerator, Scheme], Iterator]
+    probes: Mapping[Scheme, Callable[[], list]]
 
 
 _ROWS = {
     row.name: row
     for row in (
-        _Axiom("strict_monotonicity", check_strict_monotonicity, ProbeGenerator.monotonicity),
-        _Axiom("case_mix_insensitivity", check_case_mix_insensitivity, ProbeGenerator.case_mix),
-        _Axiom("scale_insensitivity", check_scale_insensitivity, ProbeGenerator.scale),
-        _Axiom("equivalence", check_equivalence, ProbeGenerator.equivalence),
-        _Axiom("dominance", check_dominance, ProbeGenerator.dominance),
+        _Axiom("strict_monotonicity", check_strict_monotonicity, ProbeGenerator.monotonicity, {
+            "external": lambda: [MonotonicityProbe(_scenario("actual-ext", 0.1), "H1", "1", 1e-3)],
+            "internal": lambda: [
+                MonotonicityProbe(_scenario("actual-int", 0.5, {"w11": 0.8}), "H1", "1", 1e-3)],
+        }),
+        _Axiom("case_mix_insensitivity", check_case_mix_insensitivity, ProbeGenerator.case_mix, {
+            "external": lambda: [
+                CaseMixProbe(_scenario("casemix-ext", 0.0), "H1", CaseMixShift("1", "2", 5.0))],
+            "internal": lambda: [
+                CaseMixProbe(_scenario("casemix-int", 0.0), "H1", CaseMixShift("1", "2", 10.0))],
+        }),
+        _Axiom("scale_insensitivity", check_scale_insensitivity, ProbeGenerator.scale, {
+            "external": lambda: [
+                ScaleProbe(_scenario("scale-ext", 1.0), "H1", factor) for factor in (2.0, 3.0, 4.0, 5.0)],
+            "internal": lambda: [ScaleProbe(_scenario("scale-int", 1.0), "H1", 2.0)],
+        }),
+        _Axiom("equivalence", check_equivalence, ProbeGenerator.equivalence, {
+            "external": lambda: [
+                PairProbe(_scenario("actual-ext", p), "H1", "H2", "identical-deviations")
+                for p in (0.05, 0.075, 0.1, 0.125, 0.15)],
+            "internal": _internal_equivalence_probes,
+        }),
+        _Axiom("dominance", check_dominance, ProbeGenerator.dominance, {
+            "external": lambda: [
+                PairProbe(_scenario("expected-ext", p), "H2", "H1", "dominates") for p in (0.2, 0.25, 0.3)],
+            "internal": _internal_dominance_probes,
+        }),
     )
 }
 
 AXIOMS = tuple(_ROWS)
+
+
+def _row(axiom: str, scheme: Scheme) -> _Axiom:
+    """The requirement's row; an unknown axiom, or a scheme it holds no probes for, is refused."""
+    row = _ROWS.get(axiom)
+    if row is None or scheme not in row.probes:
+        raise InvalidParameterError(f"no probes for axiom {axiom!r} under scheme {scheme!r}")
+    return row
 
 
 def mandatory_probes(axiom: str, scheme: Scheme) -> list:
@@ -595,10 +601,7 @@ def mandatory_probes(axiom: str, scheme: Scheme) -> list:
     random probing starts, so the audit's verdict on the two ratio
     measures never depends on the seed. An unknown axiom or scheme is refused.
     """
-    build = _MANDATORY.get((axiom, scheme))
-    if build is None:
-        raise InvalidParameterError(f"no probes for axiom {axiom!r} under scheme {scheme!r}")
-    return build()
+    return _row(axiom, scheme).probes[scheme]()
 
 
 def _cell_seed(seed: int, measure: str, axiom: str) -> int:
@@ -608,10 +611,7 @@ def _cell_seed(seed: int, measure: str, axiom: str) -> int:
 
 def _probe_budget(axiom: str, scheme: Scheme, seed: int, measure: str, trials: int) -> Iterator:
     yield from mandatory_probes(axiom, scheme)
-    generator = ProbeGenerator(_cell_seed(seed, measure, axiom))
-    stream = generator.stream(axiom, scheme)
-    for _ in range(trials):
-        yield next(stream)
+    yield from islice(ProbeGenerator(_cell_seed(seed, measure, axiom)).stream(axiom, scheme), trials)
 
 
 def run_audit(
@@ -628,13 +628,12 @@ def run_audit(
     caps the number of random probes per cell.
     """
     registry = built_in_measures()
-    ordered: list[Measure] = [registry["smr-external"], registry["smr-internal"]]
+    ordered = {name: registry[name] for name in EXPECTED_BUILTIN_STATUS}
     for m in measures:
-        if m.name not in {x.name for x in ordered}:
-            ordered.append(m)
+        ordered.setdefault(m.name, m)
 
     rows = []
-    for measure in ordered:
+    for measure in ordered.values():
         verdicts = []
         for row in _ROWS.values():
             probes = _probe_budget(row.name, measure.scheme, seed, measure.name, trials)

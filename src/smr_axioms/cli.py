@@ -340,7 +340,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     _, _, handler = COMMANDS[args.command]
     try:
         return handler(args, parser)
-    except (SmrError, OSError, UnicodeDecodeError) as exc:
+    except (SmrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,8 @@ Every CSV output of the package, these files and the command line's
 tables alike, goes through :func:`write_rows`: numbers with 17
 significant digits, so ``ingest(emit(cohort)) == cohort`` bit-for-bit,
 and an id holding a comma or a quote is quoted. All ingestion failures
-carry the 1-based row number of the offending line. A hospitals row's values
+carry the 1-based row number of the offending line; a file that is not
+UTF-8 text is refused with its path. A hospitals row's values
 are validated once, by the slotted ``StratumCell``; a refused row is re-read
 only to name its fault. A loaded cohort's cells share one string per stratum id.
 """
@@ -23,10 +24,10 @@ import csv
 import io
 from math import isfinite
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .core import Cohort, ExternalStandard, StratumCell, StratumTable
-from .errors import InvalidParameterError, ParseError, ValidationError
+from .errors import InvalidParameterError, ParseError, SmrError, ValidationError
 
 HOSPITALS_HEADER = ["hospital_id", "stratum_id", "patients", "mortality_rate"]
 STANDARD_HEADER = ["stratum_id", "expected_rate"]
@@ -63,31 +64,39 @@ def _refuse_values(row: int, patients_text: str, rate_text: str) -> NoReturn:
     raise ValidationError(row, f"mortality_rate must be in [0, 1], got {rate}")
 
 
+def _rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank row after the checked header, with its 1-based number; non-UTF-8 text is refused."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            _check_header(next(reader, None), header, str(path))
+            for row_no, row in enumerate(reader, start=2):
+                if row:
+                    yield row_no, row
+    except UnicodeDecodeError as exc:
+        raise SmrError(f"{path}: not UTF-8 text, byte 0x{exc.object[exc.start]:02x} cannot be decoded") from None
+
+
 def load_hospitals(path: str | Path) -> Cohort:
     """Read a hospitals file into a cohort, in file order."""
     tables: dict[str, dict[str, StratumCell]] = {}
     strata: dict[str, str] = {}  # one string per stratum id, shared by every hospital's cells
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        _check_header(next(reader, None), HOSPITALS_HEADER, str(path))
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(row_no, "*", f"expected 4 fields, got {len(row)}")
-            hospital, stratum, patients_text, rate_text = map(str.strip, row)
-            if not hospital or not stratum:
-                raise ValidationError(row_no, "hospital_id and stratum_id must be non-empty")
-            try:
-                cell = StratumCell(float(patients_text), float(rate_text) if rate_text else None)
-            except (ValueError, InvalidParameterError):
-                _refuse_values(row_no, patients_text, rate_text)
-            cells = tables.get(hospital)
-            if cells is None:
-                cells = tables[hospital] = {}
-            elif stratum in cells:
-                raise ValidationError(row_no, f"duplicate ({hospital!r}, {stratum!r})")
-            cells[strata.setdefault(stratum, stratum)] = cell
+    for row_no, row in _rows(path, HOSPITALS_HEADER):
+        if len(row) != 4:
+            raise ParseError(row_no, "*", f"expected 4 fields, got {len(row)}")
+        hospital, stratum, patients_text, rate_text = map(str.strip, row)
+        if not hospital or not stratum:
+            raise ValidationError(row_no, "hospital_id and stratum_id must be non-empty")
+        try:
+            cell = StratumCell(float(patients_text), float(rate_text) if rate_text else None)
+        except (ValueError, InvalidParameterError):
+            _refuse_values(row_no, patients_text, rate_text)
+        cells = tables.get(hospital)
+        if cells is None:
+            cells = tables[hospital] = {}
+        elif stratum in cells:
+            raise ValidationError(row_no, f"duplicate ({hospital!r}, {stratum!r})")
+        cells[strata.setdefault(stratum, stratum)] = cell
     if not tables:
         raise ValidationError(1, "no hospital rows")
     return Cohort(tuple(StratumTable(h, cells) for h, cells in tables.items()))
@@ -96,23 +105,18 @@ def load_hospitals(path: str | Path) -> Cohort:
 def load_standard(path: str | Path) -> ExternalStandard:
     """Read a standard file."""
     rates: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        _check_header(next(reader, None), STANDARD_HEADER, str(path))
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(row_no, "*", f"expected 2 fields, got {len(row)}")
-            stratum, rate_text = map(str.strip, row)
-            if not stratum:
-                raise ValidationError(row_no, "stratum_id must be non-empty")
-            if stratum in rates:
-                raise ValidationError(row_no, f"duplicate stratum {stratum!r}")
-            rate = _parse_float(rate_text, row_no, "expected_rate")
-            if not 0.0 <= rate <= 1.0:
-                raise ValidationError(row_no, f"expected_rate must be in [0, 1], got {rate}")
-            rates[stratum] = rate
+    for row_no, row in _rows(path, STANDARD_HEADER):
+        if len(row) != 2:
+            raise ParseError(row_no, "*", f"expected 2 fields, got {len(row)}")
+        stratum, rate_text = map(str.strip, row)
+        if not stratum:
+            raise ValidationError(row_no, "stratum_id must be non-empty")
+        if stratum in rates:
+            raise ValidationError(row_no, f"duplicate stratum {stratum!r}")
+        rate = _parse_float(rate_text, row_no, "expected_rate")
+        if not 0.0 <= rate <= 1.0:
+            raise ValidationError(row_no, f"expected_rate must be in [0, 1], got {rate}")
+        rates[stratum] = rate
     return ExternalStandard(rates)
 
 

@@ -281,6 +281,8 @@ def _shift_report(
     actual_diff = table.cell(shift.to_stratum).rate - table.cell(shift.from_stratum).rate
     numerator = actual_diff - benchmark_diff * before.smr
     denominator = table.total_count * before.expected_rate / shift.eta + benchmark_diff
+    if denominator == 0.0:
+        raise ZeroExpectedRateError(f"closed-form denominator n_h * pbar_e / eta + ({benchmark}) is 0")
     value = numerator / denominator
     fd = after - before.smr
     details = {**details, "actual_diff": actual_diff, "smr_before": before.smr, "smr_after": after}

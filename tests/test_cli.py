@@ -188,6 +188,24 @@ class TestCompute:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: scale factor 0.5 rounds stratum '1' of 'A' to 0 patients\n"
 
+    @pytest.mark.parametrize("scheme, rows, standard, diff", [
+        ("external", "A,1,1,0.2\nA,2,1,0.3\n", "1,1e-17\n2,1e-300\n", "p_ek - p_el"),
+        ("internal", "A,1,1,0\nA,2,1,0\nB,1,1,1e-17\nB,2,1,1e-300\n", None, "ptilde_k - ptilde_l"),
+    ], ids=["external", "internal"])
+    def test_a_shift_denominator_that_rounds_to_zero_is_data_error(self, scheme, rows, standard, diff,
+                                                                   tmp_path, capsys):
+        hospitals = tmp_path / "h.csv"
+        hospitals.write_text("hospital_id,stratum_id,patients,mortality_rate\n" + rows)
+        argv = ["sensitivity", "--hospitals", str(hospitals), "--scheme", scheme, "--analysis", "shift",
+                "--hospital", "A", "--from-stratum", "1", "--to-stratum", "2", "--eta", "1"]
+        if standard is not None:
+            (tmp_path / "s.csv").write_text("stratum_id,expected_rate\n" + standard)
+            argv += ["--standard", str(tmp_path / "s.csv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: closed-form denominator n_h * pbar_e / eta + ({diff}) is 0\n"
+
 
 class TestFileErrors:
     """A file the command cannot read or write gives one ``error:`` line and exit 1."""
@@ -210,6 +228,16 @@ class TestFileErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["hospitals", "standard"])
+    def test_a_file_that_is_not_utf8_is_named(self, which, table2, capsys):
+        paths = list(table2)
+        paths[which].write_bytes(paths[which].read_bytes() + b"\xff\n")
+        argv = ["compute", "--hospitals", str(paths[0]), "--standard", str(paths[1]), "--scheme", "external"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {paths[which]}: not UTF-8 text, byte 0xff cannot be decoded\n"
 
     def test_a_standard_that_is_missing_is_data_error(self, table2, tmp_path, capsys):
         hospitals, _ = table2

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from smr_axioms import ScenarioSpec, build_scenario, check_claims, find_crossing, run_sweep
+from smr_axioms import ScenarioSpec, build_scenario, check_claims, find_crossing, run_sweep, scenarios
 from smr_axioms.errors import (
     InvalidParameterError,
     ParameterOutOfRangeError,
@@ -295,18 +295,26 @@ FAILING_SERIES = {
     ("actual-int", "h2-unaffected"): ({"w11": 1.0}, _bumped("H2")),
 }
 
-#: Claims that evaluate the model at fixed points and never read the swept series.
-MODEL_ONLY = {"equal-ratios-at-standard", "h1-approaches-unity", "h1-monotone-approach"}
+#: (scenario, claim) -> change of the scenario's world builder on which the claim must fail; these
+#: claims evaluate the model at fixed points and never read the swept series.
+FAILING_BUILDS = {
+    # p11 read 0.05 high, so neither ratio is 1 at the standard's p11 = 0.1
+    ("actual-ext", "equal-ratios-at-standard"): lambda build: lambda p11, o: build(p11 + 0.05, o),
+    # growth stops at lambda = 5, far from the limit
+    ("scale-int", "h1-approaches-unity"): lambda build: lambda lam, o: build(min(lam, 5.0), o),
+    # lambda = 4 built as 1, so the gap to 1 widens again after lambda = 2
+    ("scale-int", "h1-monotone-approach"): lambda build: lambda lam, o: build(1.0 if lam == 4.0 else lam, o),
+}
 
 
 class TestClaimsCanFail:
-    """Each claim that reads the series reports a failure on a series crafted to break it."""
+    """Each claim reports a failure on a series, or a model, crafted to break it."""
 
-    def test_every_series_claim_has_a_failing_series(self):
+    def test_every_claim_has_a_failing_control(self):
         runs = [(name, {}) for name in SCENARIO_NAMES] + [("actual-int", {"w11": w11}) for w11 in (0.6, 1.0)]
         claims = {(name, c.name) for name, overrides in runs
                   for c in check_claims(run_sweep(ScenarioSpec.default(name, overrides)))}
-        assert {key for key in claims if key[1] not in MODEL_ONLY} == set(FAILING_SERIES)
+        assert claims == set(FAILING_SERIES) | set(FAILING_BUILDS)
 
     @pytest.mark.parametrize("key", sorted(FAILING_SERIES), ids="/".join)
     def test_claim_fails_on_the_crafted_series(self, key):
@@ -315,3 +323,12 @@ class TestClaimsCanFail:
         crafted = replace(series, series=change(dict(series.series)))
         assert {c.name: c.passed for c in check_claims(series)}[claim] is True
         assert {c.name: c.passed for c in check_claims(crafted)}[claim] is False
+
+    @pytest.mark.parametrize("key", sorted(FAILING_BUILDS), ids="/".join)
+    def test_model_claim_fails_on_the_crafted_model(self, key, monkeypatch):
+        (name, claim), change = key, FAILING_BUILDS[key]
+        series = run_sweep(ScenarioSpec.default(name))
+        assert {c.name: c.passed for c in check_claims(series)}[claim] is True
+        row = scenarios._SCENARIOS[name]
+        monkeypatch.setitem(scenarios._SCENARIOS, name, replace(row, build=change(row.build)))
+        assert {c.name: c.passed for c in check_claims(series)}[claim] is False

@@ -223,6 +223,15 @@ class TestOmegaExternal:
         report = omega_external(world.cohort.table("H1"), world.standard, CaseMixShift("1", "2", 0.0))
         assert report.value == 0.0 and report.fd_check == 0.0 and report.sign == "zero"
 
+    def test_a_denominator_that_rounds_to_zero_is_refused(self):
+        # n_h * pbar_e / eta = 1e-17 and p_ek - p_el = -1e-17 cancel, though the shifted ratio is finite
+        table = StratumTable.build("A", {"1": (1.0, 0.2), "2": (1.0, 0.3)})
+        standard = ExternalStandard({"1": 1e-17, "2": 1e-300})
+        shifted = smr_external(shift_case_mix(table, CaseMixShift("1", "2", 1.0)), standard)
+        assert shifted.smr == pytest.approx(3e299)
+        with pytest.raises(ZeroExpectedRateError, match=r"\(p_ek - p_el\) is 0"):
+            omega_external(table, standard, CaseMixShift("1", "2", 1.0))
+
 
 class TestConcentration:
     def test_quotient(self):
@@ -432,6 +441,13 @@ class TestOmegaInternal:
         cohort = Cohort.build({"H1": {"1": (10.0, 0.2), "2": (0.0, 0.3)}, "H2": {"1": (10.0, 0.1)}})
         with pytest.raises(UnknownStratumError, match="stratum '2' has no patients cohort-wide"):
             omega_internal(cohort, "H1", CaseMixShift("1", "2", 5.0))
+
+    def test_a_denominator_that_rounds_to_zero_is_refused(self):
+        # A's rates are 0, so the benchmark is half of B's and the two terms cancel as in the external case
+        cohort = Cohort.build({"A": {"1": (1.0, 0.0), "2": (1.0, 0.0)},
+                               "B": {"1": (1.0, 1e-17), "2": (1.0, 1e-300)}})
+        with pytest.raises(ZeroExpectedRateError, match=r"\(ptilde_k - ptilde_l\) is 0"):
+            omega_internal(cohort, "A", CaseMixShift("1", "2", 1.0))
 
 
 class TestRelativeZeroBand:
