@@ -26,9 +26,11 @@ serves :func:`mandatory_probes` and :meth:`ProbeGenerator.stream` and
 refuses a scheme the row holds no probes for, so a measure whose scheme
 is neither ``external`` nor ``internal`` is refused, never audited
 against the wrong probes.
-Monotonicity, case mix and scale share a perturbation driver: each probe
-type perturbs one hospital and describes the move. Equivalence and
-dominance share a pair driver that admits a pair once its relation holds.
+Monotonicity, case mix and scale share one probe type and one driver: a
+:class:`PerturbationProbe` holds a change (:class:`RateRaise`,
+:class:`CaseMixShift` or :class:`ScaleChange`) that applies itself to one
+hospital's table and describes the move. Equivalence and dominance share a
+pair driver that admits a pair once its relation holds.
 
 The requirements concern only the order and equality of a measure's values,
 so any positive multiple of a measure gets its verdicts, and tolerances scale
@@ -41,7 +43,7 @@ violation because the requirement demands a strictly better rank.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from random import Random
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
@@ -58,7 +60,6 @@ from .core import (
     StratumTable,
     World,
     with_cell,
-    with_rate,
 )
 from .errors import (
     EmptyProbeSetError,
@@ -66,7 +67,7 @@ from .errors import (
     InvalidParameterError,
     MissingStandardRateError,
 )
-from .sensitivity import CaseMixShift, ScaleChange, scale_hospital, shift_case_mix
+from .sensitivity import CaseMixShift, RateRaise, ScaleChange
 
 Status = Literal["holds", "violated"]
 
@@ -121,65 +122,12 @@ def built_in_measures() -> dict[str, Measure]:
 
 
 @dataclass(frozen=True)
-class MonotonicityProbe:
+class PerturbationProbe:
+    """One hospital of a world, and the change that perturbs its table; the witness records the change's fields."""
+
     world: World
     hospital: HospitalId
-    stratum: StratumId
-    delta: float
-
-    def perturb(self, table: StratumTable) -> StratumTable:
-        cell = table.cell(self.stratum)
-        if cell.count <= 0.0:
-            raise InvalidParameterError("monotonicity probe needs a populated stratum")
-        bumped = min(1.0, cell.rate + self.delta)
-        if bumped <= cell.rate:
-            raise IncomparableProbeError(
-                f"raising the rate {cell.rate!r} of stratum {self.stratum!r} by {self.delta!r}"
-                " leaves it unchanged"
-            )
-        return with_rate(table, self.stratum, bumped)
-
-    def perturbation(self) -> dict[str, object]:
-        return {"stratum": self.stratum, "delta": self.delta}
-
-    def describe(self, moved: float) -> str:
-        return (f"rate of stratum {self.stratum!r} raised by {self.delta}"
-                f" but the measure moved {moved!r}")
-
-
-@dataclass(frozen=True)
-class CaseMixProbe:
-    world: World
-    hospital: HospitalId
-    shift: CaseMixShift
-
-    def perturb(self, table: StratumTable) -> StratumTable:
-        return shift_case_mix(table, self.shift)
-
-    def perturbation(self) -> dict[str, object]:
-        s = self.shift
-        return {"from_stratum": s.from_stratum, "to_stratum": s.to_stratum, "eta": s.eta}
-
-    def describe(self, moved: float) -> str:
-        s = self.shift
-        return (f"moving {s.eta} patients {s.from_stratum!r} -> {s.to_stratum!r}"
-                f" moved the measure by {moved!r}")
-
-
-@dataclass(frozen=True)
-class ScaleProbe:
-    world: World
-    hospital: HospitalId
-    factor: float
-
-    def perturb(self, table: StratumTable) -> StratumTable:
-        return scale_hospital(table, ScaleChange(self.factor))
-
-    def perturbation(self) -> dict[str, object]:
-        return {"factor": self.factor}
-
-    def describe(self, moved: float) -> str:
-        return f"scaling by {self.factor} moved the measure by {moved!r}"
+    change: RateRaise | CaseMixShift | ScaleChange
 
 
 @dataclass(frozen=True)
@@ -272,20 +220,20 @@ def _verdict(axiom: str, probes_run: int, witness: Witness | None) -> AxiomVerdi
 
 
 def _check_perturbations(
-    axiom: str, measure: Measure, probes: Iterable, violated: Callable[[float, float], bool]
+    axiom: str, measure: Measure, probes: Iterable[PerturbationProbe], violated: Callable[[float, float], bool]
 ) -> AxiomVerdict:
     """Judge each probe's move ``after - before`` against its tolerance; the first violation is the witness."""
     ran = 0
     for probe in probes:
         ran += 1
-        perturbed = probe.world.with_table(probe.perturb(probe.world.cohort.table(probe.hospital)))
+        perturbed = probe.world.with_table(probe.change.apply(probe.world.cohort.table(probe.hospital)))
         before = measure.evaluate(probe.world, probe.hospital)
         after = measure.evaluate(perturbed, probe.hospital)
         if violated(after - before, core.EXACT_TOL * max(abs(before), abs(after))):
             return _verdict(axiom, ran, Witness(
                 axiom, measure.name, probe.world, probe.hospital, before, after,
-                perturbed_world=perturbed, perturbation=probe.perturbation(),
-                detail=probe.describe(after - before),
+                perturbed_world=perturbed, perturbation=asdict(probe.change),
+                detail=probe.change.describe(after - before),
             ))
     return _verdict(axiom, ran, None)
 
@@ -314,7 +262,7 @@ def _check_pairs(
     return _verdict(axiom, ran, None)
 
 
-def check_strict_monotonicity(measure: Measure, probes: Iterable[MonotonicityProbe]) -> AxiomVerdict:
+def check_strict_monotonicity(measure: Measure, probes: Iterable[PerturbationProbe]) -> AxiomVerdict:
     """Perturb one treated stratum's rate upward; demand a strict increase."""
     return _check_perturbations("strict_monotonicity", measure, probes, lambda moved, tol: moved <= tol)
 
@@ -323,12 +271,12 @@ def _moved(moved: float, tol: float) -> bool:
     return abs(moved) > tol
 
 
-def check_case_mix_insensitivity(measure: Measure, probes: Iterable[CaseMixProbe]) -> AxiomVerdict:
+def check_case_mix_insensitivity(measure: Measure, probes: Iterable[PerturbationProbe]) -> AxiomVerdict:
     """Shift patients between strata; demand the measure stays put."""
     return _check_perturbations("case_mix_insensitivity", measure, probes, _moved)
 
 
-def check_scale_insensitivity(measure: Measure, probes: Iterable[ScaleProbe]) -> AxiomVerdict:
+def check_scale_insensitivity(measure: Measure, probes: Iterable[PerturbationProbe]) -> AxiomVerdict:
     """Rescale one hospital; demand the measure stays put."""
     return _check_perturbations("scale_insensitivity", measure, probes, _moved)
 
@@ -483,25 +431,25 @@ class ProbeGenerator:
             return World(Cohort._trusted(probed + tuple(self._table(h, strata) for h in peers)))
         return World(Cohort._trusted(probed), self._standard(strata) if standard is None else standard)
 
-    def monotonicity(self, scheme: Scheme) -> Iterator[MonotonicityProbe]:
+    def monotonicity(self, scheme: Scheme) -> Iterator[PerturbationProbe]:
         while True:
             strata = self._strata()
             world = self._world(scheme, strata, (self._table("A", strata),))
-            yield MonotonicityProbe(world, "A", self._rng.choice(strata), 1e-3)
+            yield PerturbationProbe(world, "A", RateRaise(self._rng.choice(strata), 1e-3))
 
-    def case_mix(self, scheme: Scheme) -> Iterator[CaseMixProbe]:
+    def case_mix(self, scheme: Scheme) -> Iterator[PerturbationProbe]:
         while True:
             strata = self._strata()
             world = self._world(scheme, strata, (self._table("A", strata),))
             donor, receiver = self._rng.sample(strata, 2)
             eta = world.cohort.table("A").count(donor) * self._rng.uniform(0.1, 0.9)
-            yield CaseMixProbe(world, "A", CaseMixShift(donor, receiver, eta))
+            yield PerturbationProbe(world, "A", CaseMixShift(donor, receiver, eta))
 
-    def scale(self, scheme: Scheme) -> Iterator[ScaleProbe]:
+    def scale(self, scheme: Scheme) -> Iterator[PerturbationProbe]:
         while True:
             strata = self._strata()
             world = self._world(scheme, strata, (self._table("A", strata),))
-            yield ScaleProbe(world, "A", 10.0 ** self._rng.uniform(-0.6, 0.6))
+            yield PerturbationProbe(world, "A", ScaleChange(10.0 ** self._rng.uniform(-0.6, 0.6)))
 
     def equivalence(self, scheme: Scheme) -> Iterator[PairProbe]:
         while True:
@@ -554,20 +502,21 @@ _ROWS = {
     row.name: row
     for row in (
         _Axiom("strict_monotonicity", check_strict_monotonicity, ProbeGenerator.monotonicity, {
-            "external": lambda: [MonotonicityProbe(_scenario("actual-ext", 0.1), "H1", "1", 1e-3)],
+            "external": lambda: [PerturbationProbe(_scenario("actual-ext", 0.1), "H1", RateRaise("1", 1e-3))],
             "internal": lambda: [
-                MonotonicityProbe(_scenario("actual-int", 0.5, {"w11": 0.8}), "H1", "1", 1e-3)],
+                PerturbationProbe(_scenario("actual-int", 0.5, {"w11": 0.8}), "H1", RateRaise("1", 1e-3))],
         }),
         _Axiom("case_mix_insensitivity", check_case_mix_insensitivity, ProbeGenerator.case_mix, {
             "external": lambda: [
-                CaseMixProbe(_scenario("casemix-ext", 0.0), "H1", CaseMixShift("1", "2", 5.0))],
+                PerturbationProbe(_scenario("casemix-ext", 0.0), "H1", CaseMixShift("1", "2", 5.0))],
             "internal": lambda: [
-                CaseMixProbe(_scenario("casemix-int", 0.0), "H1", CaseMixShift("1", "2", 10.0))],
+                PerturbationProbe(_scenario("casemix-int", 0.0), "H1", CaseMixShift("1", "2", 10.0))],
         }),
         _Axiom("scale_insensitivity", check_scale_insensitivity, ProbeGenerator.scale, {
             "external": lambda: [
-                ScaleProbe(_scenario("scale-ext", 1.0), "H1", factor) for factor in (2.0, 3.0, 4.0, 5.0)],
-            "internal": lambda: [ScaleProbe(_scenario("scale-int", 1.0), "H1", 2.0)],
+                PerturbationProbe(_scenario("scale-ext", 1.0), "H1", ScaleChange(factor))
+                for factor in (2.0, 3.0, 4.0, 5.0)],
+            "internal": lambda: [PerturbationProbe(_scenario("scale-int", 1.0), "H1", ScaleChange(2.0))],
         }),
         _Axiom("equivalence", check_equivalence, ProbeGenerator.equivalence, {
             "external": lambda: [

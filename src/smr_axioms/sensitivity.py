@@ -67,6 +67,7 @@ from .core import (
 )
 from .errors import (
     EmptyHospitalError,
+    IncomparableProbeError,
     InvalidParameterError,
     SameHospitalError,
     ShiftExceedsStratumError,
@@ -117,6 +118,13 @@ class CaseMixShift:
             raise InvalidParameterError(f"integral shift requires whole eta, got {eta!r}")
         return cls(from_stratum, to_stratum, eta)
 
+    def apply(self, table: StratumTable) -> StratumTable:
+        return shift_case_mix(table, self)
+
+    def describe(self, moved: float) -> str:
+        return (f"moving {self.eta} patients {self.from_stratum!r} -> {self.to_stratum!r}"
+                f" moved the measure by {moved!r}")
+
 
 @dataclass(frozen=True)
 class ScaleChange:
@@ -129,6 +137,37 @@ class ScaleChange:
         if not factor > 0.0:
             raise InvalidParameterError(f"scale factor must be > 0, got {self.factor!r}")
         object.__setattr__(self, "factor", factor)
+
+    def apply(self, table: StratumTable) -> StratumTable:
+        return scale_hospital(table, self)
+
+    def describe(self, moved: float) -> str:
+        return f"scaling by {self.factor} moved the measure by {moved!r}"
+
+
+@dataclass(frozen=True)
+class RateRaise:
+    """Raise one populated stratum's mortality rate by ``delta``, capped at 1."""
+
+    stratum: StratumId
+    delta: float
+
+    def apply(self, table: StratumTable) -> StratumTable:
+        """The raised table; an empty stratum, or a raise that leaves the rate unchanged, is refused."""
+        cell = table.cell(self.stratum)
+        if cell.count <= 0.0:
+            raise InvalidParameterError("monotonicity probe needs a populated stratum")
+        bumped = min(1.0, cell.rate + self.delta)
+        if bumped <= cell.rate:
+            raise IncomparableProbeError(
+                f"raising the rate {cell.rate!r} of stratum {self.stratum!r} by {self.delta!r}"
+                " leaves it unchanged"
+            )
+        return with_rate(table, self.stratum, bumped)
+
+    def describe(self, moved: float) -> str:
+        return (f"rate of stratum {self.stratum!r} raised by {self.delta}"
+                f" but the measure moved {moved!r}")
 
 
 @dataclass(frozen=True)

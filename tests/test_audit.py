@@ -26,8 +26,8 @@ from smr_axioms.audit import (
     EXPECTED_BUILTIN_STATUS,
     _cell_seed,
     Measure,
-    MonotonicityProbe,
     PairProbe,
+    PerturbationProbe,
     ProbeGenerator,
     World,
     check_case_mix_insensitivity,
@@ -45,6 +45,7 @@ from smr_axioms.report import (
     witness_payload,
     world_payload,
 )
+from smr_axioms.sensitivity import RateRaise
 
 REGISTRY = built_in_measures()
 SMALL_TRIALS = 300
@@ -271,7 +272,7 @@ class TestChecks:
     )
     def test_monotonicity_probe_that_cannot_raise_the_rate(self, rate, delta):
         world = World(Cohort.build({"A": {"1": (5.0, rate)}}), ExternalStandard({"1": 0.1}))
-        probe = MonotonicityProbe(world, "A", "1", delta)
+        probe = PerturbationProbe(world, "A", RateRaise("1", delta))
         with pytest.raises(IncomparableProbeError):
             check_strict_monotonicity(REGISTRY["smr-external"], [probe])
 
@@ -279,9 +280,9 @@ class TestChecks:
         world = World(
             Cohort.build({"A": {"1": (0.0, 0.2), "2": (5.0, 0.3)}}), ExternalStandard({"1": 0.1, "2": 0.1})
         )
-        probe = MonotonicityProbe(world, "A", "1", 1e-3)
+        probe = PerturbationProbe(world, "A", RateRaise("1", 1e-3))
         with pytest.raises(InvalidParameterError, match="populated stratum"):
-            probe.perturb(world.cohort.table("A"))
+            probe.change.apply(world.cohort.table("A"))
 
     def test_case_mix_check_finds_nothing_for_constant(self):
         probes = mandatory_probes("case_mix_insensitivity", "external")

@@ -844,9 +844,9 @@ class TestCrossCheckBound:
 #: Audit stream -> the sensitivity row it perturbs by, and that row's parameters from a probe.
 AUDIT_STREAMS = {
     "case_mix_insensitivity": ("shift", lambda p: {
-        "from_stratum": p.shift.from_stratum, "to_stratum": p.shift.to_stratum, "eta": p.shift.eta}),
-    "scale_insensitivity": ("scale", lambda p: {"lambda": p.factor}),
-    "strict_monotonicity": ("me-actual", lambda p: {"stratum_id": p.stratum}),
+        "from_stratum": p.change.from_stratum, "to_stratum": p.change.to_stratum, "eta": p.change.eta}),
+    "scale_insensitivity": ("scale", lambda p: {"lambda": p.change.factor}),
+    "strict_monotonicity": ("me-actual", lambda p: {"stratum_id": p.change.stratum}),
 }
 
 
