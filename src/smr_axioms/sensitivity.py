@@ -35,7 +35,7 @@ central finite differences (absolute step ``FD_STEP``, one-sided at the
 its cross-check kind. :func:`cross_check` gives a report's residual and
 bound; the ``sensitivity`` command exits 1 when the residual is larger.
 
-Every cross-check recomputes the ratio through one harness, ``_ratio``,
+Every cross-check recomputes the ratio through one harness, ``_recompute``,
 against the benchmark that follows the perturbed ``core.World``: an
 external analysis perturbs the one-hospital world of its table and
 standard, so the check costs O(strata), and an internal one re-sums only
@@ -50,7 +50,7 @@ and growing a hospital drags its ratio toward 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum
+from math import fsum, isfinite
 from typing import Any, Callable, Literal, Mapping
 
 from . import core
@@ -203,7 +203,12 @@ def _report(
 ) -> SensitivityReport:
     """Report ``value``, with the relation of its sign in the ``{}`` of ``condition``.
 
-    An ``exact`` row's zero band scales with its ratios, as its cross-check bound does."""
+    An ``exact`` row's zero band scales with its ratios, as its cross-check bound does. A
+    non-finite value or cross-check is refused; a threshold beyond the float range is ``None``."""
+    if not (isfinite(value) and isfinite(fd)):
+        raise ZeroExpectedRateError(f"closed form {value!r} or cross-check {fd!r} is not a finite number")
+    if not isfinite(details.get("threshold", 0.0)):
+        details = {**details, "threshold": None}
     sign = classify_sign(value, zero_tol, _ratio_scale(details) if exact else 1.0)
     return SensitivityReport(value, sign, condition.format(rel[sign]), fd, details, flags)
 
@@ -279,12 +284,19 @@ def _offset_slope(f: Callable[[float], float], step: float = FD_STEP) -> float:
     return (f(step) - f(-step)) / (2.0 * step)
 
 
+def _recompute(
+    world: World, hospital: HospitalId, table: StratumTable | None = None, rates: Rates | None = None
+) -> core.SmrResult:
+    """``hospital``'s ratio with ``table`` swapped in, against ``rates`` or else the benchmark that follows."""
+    world = world if table is None else world.with_table(table)
+    return core.smr(world.cohort.table(hospital), world.rates() if rates is None else rates, world.scheme)
+
+
 def _ratio(
     world: World, hospital: HospitalId, table: StratumTable | None = None, rates: Rates | None = None
 ) -> float:
-    """``hospital``'s SMR with ``table`` swapped in, against ``rates`` or else the benchmark that follows."""
-    world = world if table is None else world.with_table(table)
-    return core.smr(world.cohort.table(hospital), world.rates() if rates is None else rates, world.scheme).smr
+    """The SMR of :func:`_recompute`."""
+    return _recompute(world, hospital, table, rates).smr
 
 
 def _populated(cohort: Cohort, stratum: StratumId) -> float:
@@ -305,7 +317,7 @@ def _shift_report(
     table: StratumTable,
     shift: CaseMixShift,
     before: core.SmrResult,
-    after: float,
+    after: core.SmrResult,
     benchmark: str,
     benchmark_diff: float,
     zero_tol: float,
@@ -316,15 +328,16 @@ def _shift_report(
 
         value = [(p_hk - p_hl) - benchmark_diff * SMR]
                 / [n_h * pbar_e / eta + benchmark_diff]
+
+    The denominator is ``n_h * pbar_e(after) / eta``, taken from the shifted
+    table: a sum of non-negative terms, it cannot cancel, and as
+    ``(n_h / eta) * pbar_e(after)`` with ``n_h / eta >= 1`` it is positive.
     """
     actual_diff = table.cell(shift.to_stratum).rate - table.cell(shift.from_stratum).rate
     numerator = actual_diff - benchmark_diff * before.smr
-    denominator = table.total_count * before.expected_rate / shift.eta + benchmark_diff
-    if denominator == 0.0:
-        raise ZeroExpectedRateError(f"closed-form denominator n_h * pbar_e / eta + ({benchmark}) is 0")
-    value = numerator / denominator
-    fd = after - before.smr
-    details = {**details, "actual_diff": actual_diff, "smr_before": before.smr, "smr_after": after}
+    value = numerator / (table.total_count / shift.eta * after.expected_rate)
+    fd = after.smr - before.smr
+    details = {**details, "actual_diff": actual_diff, "smr_before": before.smr, "smr_after": after.smr}
     condition = f"(p_hk - p_hl) {{}} ({benchmark}) * SMR"
     return _report(value, zero_tol, condition, fd, details, flags=flags, exact=True)
 
@@ -354,7 +367,7 @@ def omega_external(
     before = core.smr_external(table, standard)
     if shift.eta == 0.0:
         return _unexposed("eta == 0", zero_tol)
-    after = _ratio(World(Cohort((table,)), standard), table.hospital, shift_case_mix(table, shift))
+    after = _recompute(World(Cohort((table,)), standard), table.hospital, shift_case_mix(table, shift))
 
     k, l = shift.to_stratum, shift.from_stratum
     e_k, e_l = standard.rate(k), standard.rate(l)
@@ -388,13 +401,13 @@ def scale_invariance_external(
 ) -> SensitivityReport:
     """Change of the external SMR under scaling: zero by construction.
 
-    The factor cancels from numerator and denominator, so the recomputed
-    difference is zero up to rounding; the report records it verbatim.
+    The factor cancels from numerator and denominator, so the closed form
+    is 0; the recomputed difference, zero up to rounding, is its cross-check.
     """
     before = core.smr_external(table, standard)
-    value = _ratio(World(Cohort((table,)), standard), table.hospital, scale_hospital(table, change)) - before.smr
+    fd = _ratio(World(Cohort((table,)), standard), table.hospital, scale_hospital(table, change)) - before.smr
     details = {"factor": change.factor, "smr": before.smr}
-    return _report(value, zero_tol, "scale factor cancels", value, details, exact=True)
+    return _report(0.0, zero_tol, "scale factor cancels", fd, details, exact=True)
 
 
 def me_actual_external(
@@ -521,7 +534,7 @@ def omega_internal(
     if shift.eta == 0.0:
         return _unexposed("eta == 0", zero_tol)
     _populated(cohort, shift.to_stratum)
-    after = _ratio(World(cohort), hospital, shift_case_mix(table, shift))
+    after = _recompute(World(cohort), hospital, shift_case_mix(table, shift))
 
     k, l = shift.to_stratum, shift.from_stratum
     p_hk, p_hl = table.cell(k).rate, table.cell(l).rate

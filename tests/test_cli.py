@@ -188,12 +188,14 @@ class TestCompute:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: scale factor 0.5 rounds stratum '1' of 'A' to 0 patients\n"
 
-    @pytest.mark.parametrize("scheme, rows, standard, diff", [
-        ("external", "A,1,1,0.2\nA,2,1,0.3\n", "1,1e-17\n2,1e-300\n", "p_ek - p_el"),
-        ("internal", "A,1,1,0\nA,2,1,0\nB,1,1,1e-17\nB,2,1,1e-300\n", None, "ptilde_k - ptilde_l"),
-    ], ids=["external", "internal"])
-    def test_a_shift_denominator_that_rounds_to_zero_is_data_error(self, scheme, rows, standard, diff,
-                                                                   tmp_path, capsys):
+    @pytest.mark.parametrize("scheme, rows, standard, value", [
+        ("external", "A,1,1,0.2\nA,2,1,0.3\n", "1,1e-17\n2,1e-300\n", 2.9999999999999998e299),
+        ("external", "A,1,1,0.2\nA,2,1,0.3\n", "1,1e-17\n2,1e-33\n", 2.9999999999999993e32),
+        ("internal", "A,1,1,0\nA,2,1,0\nB,1,1,1e-17\nB,2,1,1e-300\n", None, 0.0),
+    ], ids=["external", "external-1e-33", "internal"])
+    def test_a_shift_denominator_that_cancelled_passes_its_check(self, scheme, rows, standard, value,
+                                                                 tmp_path, capsys):
+        # the closed form's denominator comes from the shifted table; each value is the exact change rounded
         hospitals = tmp_path / "h.csv"
         hospitals.write_text("hospital_id,stratum_id,patients,mortality_rate\n" + rows)
         argv = ["sensitivity", "--hospitals", str(hospitals), "--scheme", scheme, "--analysis", "shift",
@@ -201,10 +203,9 @@ class TestCompute:
         if standard is not None:
             (tmp_path / "s.csv").write_text("stratum_id,expected_rate\n" + standard)
             argv += ["--standard", str(tmp_path / "s.csv")]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: closed-form denominator n_h * pbar_e / eta + ({diff}) is 0\n"
+        code, payload = run_json(capsys, argv)
+        report = payload["results"]["report"]
+        assert code == 0 and report["value"] == value and report["fd_check"] == value
 
 
 class TestFileErrors:
@@ -460,6 +461,31 @@ class TestSensitivityCommand:
         assert rep["condition"] == "SMR > n_k/n_hk"
         assert rep["details"]["threshold"] == 1.25
 
+    @pytest.mark.parametrize("rows, standard, options, code", [
+        ("A,1,1.7e308,0.01\nA,2,1e-300,1.0\nA,3,0,\nB,1,1,0\nB,2,1e17,0.01\nB,3,1e-300,1e-17\n", None,
+         ["--scheme", "internal", "--stratum", "2"], 0),
+        ("A,1,1,0\n", "1,1e-310\n", ["--scheme", "external", "--stratum", "1"], 1),
+    ], ids=["threshold-beyond-float-range", "effect-beyond-float-range"])
+    def test_the_three_formats_agree_on_the_exit_code(self, rows, standard, options, code, tmp_path, capsys):
+        # n_k / n_hk = 1.7e308 / 1e-300 has no finite value: the threshold is null, not inf that json refuses;
+        # an effect 1 / 1e-310 is refused in every format
+        hospitals = tmp_path / "h.csv"
+        hospitals.write_text("hospital_id,stratum_id,patients,mortality_rate\n" + rows)
+        argv = ["sensitivity", "--hospitals", str(hospitals), "--analysis", "me-actual", "--hospital", "A", *options]
+        if standard is not None:
+            (tmp_path / "s.csv").write_text("stratum_id,expected_rate\n" + standard)
+            argv += ["--standard", str(tmp_path / "s.csv")]
+        for fmt in ("json", "csv", "pretty"):
+            assert main(argv + ["--format", fmt]) == code, fmt
+            captured = capsys.readouterr()
+            if code == 0:
+                assert "inf" not in captured.out and captured.err == ""
+            else:
+                assert captured.out == ""
+                assert captured.err == "error: closed form inf or cross-check inf is not a finite number\n"
+        if code == 0:
+            assert run_json(capsys, argv)[1]["results"]["report"]["details"]["threshold"] is None
+
     def test_shift_eta_zero_identity(self, table2, capsys):
         hospitals, standard = table2
         code, payload = run_json(
@@ -581,7 +607,8 @@ class TestSensitivityCommand:
         assert default["inputs_digest"] == strict["inputs_digest"]
 
     def test_exact_zero_band_scales_with_the_ratio(self, tmp_path, capsys):
-        # the scale factor cancels exactly; at an SMR near 1.3e4 the recomputation's rounding is -1.8e-12
+        # the scale factor cancels exactly, so the closed form is 0; at an SMR near 1.3e4 the
+        # recomputation's rounding is -1.8e-12, which the cross-check bound admits as it scales with the ratio
         hospitals, standard = tmp_path / "h.csv", tmp_path / "s.csv"
         hospitals.write_text("hospital_id,stratum_id,patients,mortality_rate\nA,1,7,0.3\nA,2,13,0.45\nA,3,3,0.2\n")
         standard.write_text("stratum_id,expected_rate\n1,1e-5\n2,3e-5\n3,7e-5\n")
@@ -590,7 +617,7 @@ class TestSensitivityCommand:
                                           "--lambda", "7"])
         report = payload["results"]["report"]
         assert code == 0
-        assert report["value"] == pytest.approx(-1.82e-12, rel=1e-2)
+        assert report["value"] == 0.0 and report["fd_check"] == pytest.approx(-1.82e-12, rel=1e-2)
         assert report["sign"] == "zero"
 
     def test_add_patients(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Closed-form sensitivities against independent recomputation oracles."""
 
+from fractions import Fraction
 from itertools import islice
+from math import ulp
 from random import Random
 
 import pytest
@@ -35,8 +37,9 @@ from smr_axioms import (
     smr_internal_scale_limit,
     standard_shift_add_patients,
 )
+from smr_axioms import sensitivity
 from smr_axioms.audit import ProbeGenerator
-from smr_axioms.core import World
+from smr_axioms.core import StratumCell, World
 from smr_axioms.errors import (
     EmptyHospitalError,
     InvalidParameterError,
@@ -223,14 +226,16 @@ class TestOmegaExternal:
         report = omega_external(world.cohort.table("H1"), world.standard, CaseMixShift("1", "2", 0.0))
         assert report.value == 0.0 and report.fd_check == 0.0 and report.sign == "zero"
 
-    def test_a_denominator_that_rounds_to_zero_is_refused(self):
-        # n_h * pbar_e / eta = 1e-17 and p_ek - p_el = -1e-17 cancel, though the shifted ratio is finite
+    @pytest.mark.parametrize("p_e2", [1e-300, 1e-33])
+    def test_a_denominator_that_cancelled_is_taken_from_the_shifted_table(self, p_e2):
+        # n_h * pbar_e / eta = 1e-17 and p_ek - p_el = -1e-17 cancelled; n_h * pbar_e(after) / eta = 2 * p_e2
         table = StratumTable.build("A", {"1": (1.0, 0.2), "2": (1.0, 0.3)})
-        standard = ExternalStandard({"1": 1e-17, "2": 1e-300})
-        shifted = smr_external(shift_case_mix(table, CaseMixShift("1", "2", 1.0)), standard)
-        assert shifted.smr == pytest.approx(3e299)
-        with pytest.raises(ZeroExpectedRateError, match=r"\(p_ek - p_el\) is 0"):
-            omega_external(table, standard, CaseMixShift("1", "2", 1.0))
+        standard = ExternalStandard({"1": 1e-17, "2": p_e2})
+        report = omega_external(table, standard, CaseMixShift("1", "2", 1.0))
+        f = Fraction
+        exact = f(0.3) / f(p_e2) - (f(0.2) + f(0.3)) / (f(1e-17) + f(p_e2))
+        assert abs(report.value - float(exact)) <= 2.0 * ulp(float(exact))
+        assert report.sign == "increase" and report.fd_check == pytest.approx(report.value, rel=1e-15)
 
 
 class TestConcentration:
@@ -310,6 +315,12 @@ class TestMarginalEffectsExternal:
         table = StratumTable.build("H", {"a": (10.0, 0.2), "b": (0.0, rate)})
         standard = ExternalStandard({"a": 0.2, "b": 0.1})
         assert analysis(table, standard, "b") == UNEXPOSED
+
+    def test_an_effect_beyond_the_float_range_is_refused(self):
+        # share / pbar_e = 1 / 1e-310 overflows, though the ratio itself is 0
+        table = StratumTable.build("H", {"a": (1.0, 0.0)})
+        with pytest.raises(ZeroExpectedRateError, match="closed form inf or cross-check inf is not a finite number"):
+            me_actual_external(table, ExternalStandard({"a": 1e-310}), "a")
 
     def test_lower_expected_rate_reacts_harder(self):
         world = build_scenario(ScenarioSpec("actual-ext", (0.1,)), 0.1)
@@ -442,12 +453,13 @@ class TestOmegaInternal:
         with pytest.raises(UnknownStratumError, match="stratum '2' has no patients cohort-wide"):
             omega_internal(cohort, "H1", CaseMixShift("1", "2", 5.0))
 
-    def test_a_denominator_that_rounds_to_zero_is_refused(self):
-        # A's rates are 0, so the benchmark is half of B's and the two terms cancel as in the external case
+    def test_a_denominator_that_cancelled_is_taken_from_the_shifted_table(self):
+        # A's rates are 0, so the benchmark is half of B's and the two terms cancelled as in the external
+        # case; A has no deaths before or after the shift, so the exact change is 0
         cohort = Cohort.build({"A": {"1": (1.0, 0.0), "2": (1.0, 0.0)},
                                "B": {"1": (1.0, 1e-17), "2": (1.0, 1e-300)}})
-        with pytest.raises(ZeroExpectedRateError, match=r"\(ptilde_k - ptilde_l\) is 0"):
-            omega_internal(cohort, "A", CaseMixShift("1", "2", 1.0))
+        report = omega_internal(cohort, "A", CaseMixShift("1", "2", 1.0))
+        assert (report.value, report.fd_check, report.sign) == (0.0, 0.0, "zero")
 
 
 class TestRelativeZeroBand:
@@ -598,7 +610,7 @@ class TestMarginalEffectsInternal:
         # (n_hs / n_h) * (n_hs / n_s) = 1 * 1e-400 rounds to 0.0: the benchmark cannot feel the hospital
         cohort = Cohort.build({"H1": {"1": (1e-200, 0.3)}, "H2": {"1": (1e200, 0.1)}})
         report = dsmr_uniform_actual_internal(cohort, "H1", 0.01)
-        assert report.details["overlap"] == 0.0 and report.details["threshold"] == float("inf")
+        assert report.details["overlap"] == 0.0 and report.details["threshold"] is None
         assert report.value == 0.01 / report.details["expected_rate"] and agrees(report)
 
 
@@ -795,6 +807,31 @@ class TestCrossCheckBound:
             CaseMixShift("1", "2", 5.0),
         )
         assert cross_check(report, "exact")[1] == EXACT_TOL
+
+    @pytest.mark.parametrize("analysis, scheme, perturbation", [
+        ("shift", "external", "shift_case_mix"), ("shift", "internal", "shift_case_mix"),
+        ("scale", "external", "scale_hospital"), ("scale", "internal", "scale_hospital"),
+        ("add-patients", "internal", "with_cell"),
+    ])
+    def test_a_wrong_rate_planted_in_the_perturbed_table_fails_the_check(self, analysis, scheme, perturbation,
+                                                                        monkeypatch):
+        # the recomputation sees the perturbed table with every rate halved; a closed form that does not
+        # follow the recomputation must then disagree with it
+        perturb = getattr(sensitivity, perturbation)
+
+        def planted(table, *args):
+            out = perturb(table, *args)
+            halved = {sid: StratumCell(c.count, c.rate / 2.0) for sid, c in out.cells.items()}
+            return StratumTable(out.hospital, halved)
+
+        monkeypatch.setattr(sensitivity, perturbation, planted)
+        cohort = Cohort.build({"H1": {"1": (10.0, 0.2), "2": (10.0, 0.8)}, "H2": {"1": (10.0, 0.1), "2": (10.0, 0.5)}})
+        world = World(cohort, ExternalStandard({"1": 0.15, "2": 0.6}) if scheme == "external" else None)
+        parameters = {"hospital_id": "H1", "from_stratum": "1", "to_stratum": "2", "eta": 5.0, "lambda": 2.0,
+                      "stratum_id": "1"}
+        report = ANALYSES[analysis, scheme].run(world, parameters, SIGN_ZERO_TOL)
+        residual, bound = cross_check(report, "exact")
+        assert residual > bound, report
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 4.0))
     @settings(max_examples=300, deadline=None)
