@@ -4,10 +4,13 @@ Commands: ``compute``, ``sensitivity``, ``audit``, ``scenario``, one
 ``COMMANDS`` row each: help, options builder, handler. Each command
 builds only its own options and imports only the layers it runs
 (``compute`` none beyond ``core``, ``csvio`` and ``report``). Every
-handler writes through ``_render``, which builds only the asked format.
-Machine formats (``json``, ``csv``) are byte-deterministic for fixed
-inputs and seed; display rounding happens only in ``pretty`` mode. Exit
-codes: 0 success, 1 data or claim failure, 2 usage error. A failure 1
+handler checks its usage, then reads its files, runs, and writes through
+``_render``, which builds only the asked format: only json computes the
+report and its ``inputs_digest``; csv and pretty print each of its
+warnings on stderr. Machine formats (``json``, ``csv``) are
+byte-deterministic for fixed inputs and seed; display rounding happens
+only in ``pretty`` mode. Exit codes: 0 success, 1 data or claim failure,
+2 usage error, reported before any file is read. A failure 1
 includes a ``sensitivity`` cross-check over its bound, and an input file
 that is missing, a directory or not UTF-8 (a leading byte-order mark is
 skipped) or an unwritable ``--out``: each gives one ``error:`` line. Set
@@ -50,10 +53,16 @@ def _table_text(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(args: argparse.Namespace, payload: dict, csv_text: Callable[[], str],
-            pretty_text: Callable[[], str]) -> None:
-    """Write the asked ``--format`` to stdout or ``--out``: json from ``payload``, else its thunk's text."""
-    text = {"json": lambda: report.dumps(payload), "csv": csv_text, "pretty": pretty_text}[args.format]()
+def _render(args: argparse.Namespace, inputs: dict, results: dict, csv_text: Callable[[], str],
+            pretty_text: Callable[[], str], warnings: Sequence[str] = ()) -> None:
+    """Write the asked ``--format`` to stdout or ``--out``: json as the report of ``inputs`` and
+    ``results``, else its thunk's text, with each warning on stderr."""
+    if args.format == "json":
+        text = report.dumps(report.make_report(args.command, inputs, results, warnings=warnings))
+    else:
+        for warning in warnings:
+            print(f"{args.command}: {warning}", file=sys.stderr)
+        text = (csv_text if args.format == "csv" else pretty_text)()
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -143,31 +152,25 @@ def _scenario_options(p: argparse.ArgumentParser) -> None:
     p.epilog = "A negative number in exponent form must follow '=', as in --min=-1e-3."
 
 
-def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.scheme == "external" and args.standard is None:
-        parser.error("compute --scheme external requires --standard")
+def _load_world(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[core.World, dict]:
+    """The world that ``--hospitals``, ``--standard`` and ``--scheme`` name, and its digest inputs."""
+    if args.scheme == core.EXTERNAL and args.standard is None:
+        parser.error(f"{args.command} --scheme external requires --standard")
     cohort, standard = ingest(args.hospitals, args.standard)
-    results = core.smr_all(cohort, args.scheme, standard)
-    rows = [
-        {
-            "hospital_id": str(r.hospital),
-            "actual_rate": r.actual_rate,
-            "expected_rate": r.expected_rate,
-            "smr": r.smr,
-        }
-        for r in results
-    ]
-    inputs = {
-        "hospitals": cohort,  # written from its cells, the bytes of report.cohort_payload(cohort)
-        "standard": report.standard_payload(standard),
-        "scheme": args.scheme,
-    }
-    payload = report.make_report("compute", inputs, {"scheme": args.scheme, "rows": rows})
+    # the Cohort is written from its cells, the bytes of its cohort_payload; a given --standard is always digested
+    inputs = {"hospitals": cohort, "standard": report.standard_payload(standard), "scheme": args.scheme}
+    return core.World(cohort, standard if args.scheme == core.EXTERNAL else None), inputs
+
+
+def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    world, inputs = _load_world(args, parser)
     header = ["hospital_id", "actual_rate", "expected_rate", "smr"]
-    _render(args, payload, lambda: write_rows([header, *([r[k] for k in header] for r in rows)]),
+    rows = [[str(r.hospital), r.actual_rate, r.expected_rate, r.smr]
+            for r in core.smr_all(world.cohort, world.scheme, world.standard)]
+    _render(args, inputs, {"scheme": args.scheme, "rows": [dict(zip(header, r)) for r in rows]},
+            lambda: write_rows([header, *rows]),
             lambda: _table_text(["hospital", "actual", "expected", "SMR"], [
-                [r["hospital_id"], f"{r['actual_rate']:.4f}", f"{r['expected_rate']:.4f}", _smr_pretty(r["smr"])]
-                for r in rows
+                [h, f"{a:.4f}", f"{e:.4f}", _smr_pretty(smr)] for h, a, e, smr in rows
             ]))
     return 0
 
@@ -176,10 +179,6 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     from . import sensitivity
     if args.tolerance < 0.0:  # a negative band would report an exact 0 as a decrease
         parser.error(f"argument --tolerance: must be >= 0, got {args.tolerance!r}")
-    cohort, standard = ingest(args.hospitals, args.standard)
-    world = core.World(cohort, standard if args.scheme == core.EXTERNAL else None)
-    if world.scheme != args.scheme:
-        parser.error("external analyses require --standard")
     given = vars(args)
     parameters = {key: given[key] for key, _, _ in SENSITIVITY_OPTIONS.values() if given[key] is not None}
     if "hospital_id" not in parameters:
@@ -192,32 +191,20 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     for key in row.needs:
         if key not in parameters:
             parser.error(f"--analysis {args.analysis} requires {option[key]}")
+    world, inputs = _load_world(args, parser)
     result = row.run(world, parameters, args.tolerance)
     residual, bound = sensitivity.cross_check(result, row.check)
     agrees = residual <= bound
     warnings = list(result.flags)
     if not agrees:
         warnings.append(f"cross-check residual {residual:.3g} exceeds its {row.check} bound {bound:.3g}")
-    inputs = {
-        "hospitals": cohort,
-        "standard": report.standard_payload(standard),
-        "scheme": args.scheme,
-        "analysis": args.analysis,
-        "parameters": parameters,
-        "tolerance": args.tolerance,
-    }
+    inputs.update(analysis=args.analysis, parameters=parameters, tolerance=args.tolerance)
     results = {
         "analysis": args.analysis,
         "scheme": args.scheme,
         "parameters": parameters,
         "report": report.sensitivity_payload(result),
     }
-    payload = report.make_report("sensitivity", inputs, results, warnings=warnings)
-
-    def warned(text: str) -> str:  # a text format puts a failed cross-check on stderr
-        if not agrees:
-            print(f"sensitivity: {warnings[-1]}", file=sys.stderr)
-        return text
 
     def csv_text() -> str:
         flat = dict(results["report"])
@@ -230,7 +217,7 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
                 fields += [(f"details.{key}.{sub}", value[sub]) for sub in sorted(value, key=str)]
             else:
                 fields.append((f"details.{key}", value))
-        return warned(write_rows(fields))
+        return write_rows(fields)
 
     def pretty_text() -> str:
         sign_color = {"increase": "31", "decrease": "32", "zero": "2"}[result.sign]
@@ -241,9 +228,9 @@ def _cmd_sensitivity(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             ["cross-check", format_number(result.fd_check)],
         ]
         rows += [[str(key), str(result.details[key])] for key in sorted(result.details, key=str)]
-        return warned(_table_text([f"{args.analysis} ({args.scheme})", "value"], rows))
+        return _table_text([f"{args.analysis} ({args.scheme})", "value"], rows)
 
-    _render(args, payload, csv_text, pretty_text)
+    _render(args, inputs, results, csv_text, pretty_text, warnings)
     return 0 if agrees else 1
 
 
@@ -259,10 +246,9 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.expect_paper:
         inputs["expect_paper"] = True
         results["expected_matrix_ok"] = audit.matches_expected_matrix(matrix)
-    payload = report.make_report("audit", inputs, results)
     cells = [(row.measure, v.axiom, v.status, v.trials) for row in matrix.rows for v in row.verdicts]
     color = {"holds": "32", "violated": "31"}
-    _render(args, payload, lambda: write_rows([("measure", "axiom", "status", "trials"), *cells]),
+    _render(args, inputs, results, lambda: write_rows([("measure", "axiom", "status", "trials"), *cells]),
             lambda: _table_text(["measure", "requirement", "status", "trials"], [
                 [m, axiom, _styled(status, color[status]), str(n)] for m, axiom, status, n in cells
             ]))
@@ -301,7 +287,6 @@ def _cmd_scenario(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     results = report.sweep_payload(series)
     if args.check_claims:
         results["claims"] = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in claims]
-    payload = report.make_report("scenario", inputs, results)
 
     def csv_text() -> str:
         """The csv holds the series alone; the claims go to stderr."""
@@ -320,7 +305,7 @@ def _cmd_scenario(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                  for c in claims]
         return text + ("claims:\n" + "".join(lines) if claims else "")
 
-    _render(args, payload, csv_text, pretty_text)
+    _render(args, inputs, results, csv_text, pretty_text)
     return 1 if any(not c.passed for c in claims) else 0
 
 

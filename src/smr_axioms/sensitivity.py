@@ -50,7 +50,7 @@ and growing a hospital drags its ratio toward 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum, isfinite
+from math import fsum, isfinite, isnan
 from typing import Any, Callable, Literal, Mapping
 
 from . import core
@@ -147,10 +147,18 @@ class ScaleChange:
 
 @dataclass(frozen=True)
 class RateRaise:
-    """Raise one populated stratum's mortality rate by ``delta``, capped at 1."""
+    """Raise one populated stratum's mortality rate by ``delta``, capped at 1.
+
+    A ``nan`` delta is refused when built: ``min(1, rate + nan)`` is 1, a raise no one asked for."""
 
     stratum: StratumId
     delta: float
+
+    def __post_init__(self) -> None:
+        delta = core._as_float(self.delta, "rate raise")
+        if isnan(delta):
+            raise InvalidParameterError(f"rate raise must be a number, got {self.delta!r}")
+        object.__setattr__(self, "delta", delta)
 
     def apply(self, table: StratumTable) -> StratumTable:
         """The raised table; an empty stratum, or a raise that leaves the rate unchanged, is refused."""

@@ -244,6 +244,15 @@ class TestChecks:
         verdict = check_equivalence(REGISTRY["smr-external"], [PairProbe(world, "A", "B", "identical-deviations")])
         assert verdict.status == "holds"
 
+    @pytest.mark.parametrize("gap, status", [(1e-8, "violated"), (1e-11, "holds")])
+    def test_an_equivalence_gap_counts_past_derived_tol(self, gap, status):
+        # DERIVED_TOL is 1e-9 relative: 1,000 times looser misses the 1e-8 gap, 1,000 times tighter flags 1e-11
+        constant = REGISTRY["constant"].evaluate
+        planted = Measure("planted", "external",
+                          lambda world, h: constant(world, h) * (1.0 + gap if h == "B" else 1.0))
+        world = World(Cohort.build({"A": {"1": (5.0, 0.2)}, "B": {"1": (9.0, 0.2)}}), ExternalStandard({"1": 0.1}))
+        assert check_equivalence(planted, [PairProbe(world, "A", "B", "identical-rates")]).status == status
+
     @pytest.mark.parametrize("empty", [{}, {"2": (0.0, 0.1)}, {"2": (0.0, None)}],
                              ids=["same-strata", "empty-stratum-rates-differ", "empty-stratum-no-rate"])
     def test_dominance_pair_with_identical_rates_is_refused(self, empty):
@@ -275,6 +284,12 @@ class TestChecks:
         probe = PerturbationProbe(world, "A", RateRaise("1", delta))
         with pytest.raises(IncomparableProbeError):
             check_strict_monotonicity(REGISTRY["smr-external"], [probe])
+
+    @pytest.mark.parametrize("delta", [float("nan"), "x", None], ids=["nan", "text", "none"])
+    def test_a_rate_raise_it_cannot_judge_is_refused_when_built(self, delta):
+        # min(1, rate + nan) is 1, which a nan delta would have judged as a raise
+        with pytest.raises(InvalidParameterError, match="rate raise must be a number"):
+            RateRaise("1", delta)
 
     def test_monotonicity_probe_on_an_empty_stratum_with_a_rate(self):
         world = World(

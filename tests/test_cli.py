@@ -9,7 +9,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smr_axioms import sensitivity
+from smr_axioms import report, sensitivity
 from smr_axioms.cli import main
 from smr_axioms.core import EXACT_TOL, Cohort, StratumCell, StratumTable
 from smr_axioms.csvio import HOSPITALS_HEADER, emit_hospitals, emit_standard, ingest, load_hospitals, load_standard
@@ -433,7 +433,32 @@ class TestIngestMatchesReference:
         assert _ingest_outcome(load_hospitals, path) == _ingest_outcome(_reference_load_hospitals, path)
 
 
+DEGENERATE_DONOR_CSV = """hospital_id,stratum_id,patients,mortality_rate
+H1,solo,10,0.3
+H1,other,5,0.2
+H2,other,20,0.1
+"""
+
+
 class TestSensitivityCommand:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_a_report_flag_is_a_json_warning_or_a_stderr_line(self, fmt, tmp_path, capsys):
+        # moving all 10 "solo" patients empties the donor stratum cohort-wide
+        hospitals, written = tmp_path / "h.csv", tmp_path / "out.txt"
+        hospitals.write_text(DEGENERATE_DONOR_CSV)
+        argv = ["sensitivity", "--hospitals", str(hospitals), "--scheme", "internal", "--analysis", "shift",
+                "--hospital", "H1", "--from-stratum", "solo", "--to-stratum", "other", "--eta", "10",
+                "--format", fmt]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert main([*argv, "--out", str(written)]) == 0
+        assert capsys.readouterr() == ("", err)
+        assert written.read_text(encoding="utf-8") == out
+        if fmt == "json":
+            assert json.loads(out)["warnings"] == ["degenerate-donor-weight"] and err == ""
+        else:
+            assert "degenerate" not in out and err == "sensitivity: degenerate-donor-weight\n"
+
     def test_scale_external_zero(self, table2, capsys):
         hospitals, standard = table2
         code, payload = run_json(
@@ -1159,6 +1184,17 @@ class TestInputsDigest:
                           tolerance=sensitivity.SIGN_ZERO_TOL)
         _, payload = run_json(capsys, argv)
         assert payload["inputs_digest"] == inputs_digest(inputs)
+
+    @pytest.mark.parametrize("fmt", ["csv", "pretty"])
+    @pytest.mark.parametrize("command", sorted(_DIGEST_BASES))
+    def test_only_json_computes_the_digest(self, command, fmt, tmp_path, capsys, monkeypatch):
+        def refuse(inputs):
+            raise AssertionError(f"{command} --format {fmt} computed inputs_digest")
+
+        monkeypatch.setattr(report, "inputs_digest", refuse)
+        paths = self._write_inputs(tmp_path / "inputs")
+        assert main([*(arg.format(**paths) for arg in _DIGEST_BASES[command]), "--format", fmt]) == 0
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize("case", sorted(_DIGEST_CHANGES))
     def test_each_result_option_moves_the_digest(self, case, tmp_path, capsys):

@@ -27,6 +27,7 @@ from smr_axioms import (
     internal_standard,
     scale_hospital,
     shift_case_mix,
+    smr,
     smr_all,
     smr_external,
     smr_internal,
@@ -452,6 +453,64 @@ class TestExactTotals:
         assert copy.stratum_count("1") == 1.0
         assert internal_standard(copy) == {"1": 0.25}
         _assert_exact_totals(copy)
+
+
+def _ulps(value: float, exact: Fraction) -> float:
+    """``|value - exact|`` in units of the last place of ``exact`` rounded to a float."""
+    return float(abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact))))
+
+
+class TestExactRatio:
+    """Each float benchmark rate, expected rate and SMR lies within a stated number of ulps of its
+    value in ``Fraction`` arithmetic from the same float inputs, under both benchmarks.
+
+    A rounding moves a value by at most u = 2**-53 relative, and a relative error of k*u is at most
+    k ulps. Each bound counts, to first order, the roundings behind its value: a product n*p or n*r
+    (1), an ``fsum`` of non-negative terms (1), a patient total (1) and a division (1). A benchmark
+    rate is deaths over patients, 2 + 1 + 1 = 4. An expected rate is 4, plus its benchmark's 4 when
+    internal. An SMR is the actual rate (4) over the expected rate, plus its division: 9 external,
+    13 internal. Over seeds 0-2,999 the worst were 2.58 (benchmark), 2.46 and 3.30 (expected rate),
+    3.59 and 4.13 (SMR), so each bound, derived rather than fitted, has at least 1.5 times margin.
+    Every fifth of those seeds runs here, to keep the test under a second.
+    """
+
+    BOUNDS = {"benchmark": 4, "expected external": 4, "expected internal": 8,
+              "smr external": 9, "smr internal": 13}
+
+    @staticmethod
+    def _exact_benchmark(cohort: Cohort) -> dict:
+        sums: dict = {}
+        for table in cohort.hospitals:
+            for sid, cell in table.cells.items():
+                if cell.count > 0.0:
+                    patients, deaths = sums.get(sid, (0, 0))
+                    n = Fraction(cell.count)
+                    sums[sid] = (patients + n, deaths + n * Fraction(cell.rate))
+        return {sid: deaths / patients for sid, (patients, deaths) in sums.items()}
+
+    def test_within_the_rounding_bound(self):
+        for seed in range(0, 3_000, 5):
+            rng = Random(seed)
+            cohort, strata = random_cohort(rng)
+            standard = random_standard(rng, strata)
+            benchmark = self._exact_benchmark(cohort)
+            rates = internal_standard(cohort)
+            assert rates.keys() == benchmark.keys()
+            for sid, rate in rates.items():
+                assert _ulps(rate, benchmark[sid]) <= self.BOUNDS["benchmark"], (seed, sid)
+            exact_rates = {"external": {sid: Fraction(r) for sid, r in standard.rates.items()},
+                           "internal": benchmark}
+            for scheme, floats in (("external", standard.rates), ("internal", rates)):
+                for table in cohort.hospitals:
+                    cells = [(Fraction(c.count), Fraction(c.rate), sid)
+                             for sid, c in table.cells.items() if c.count > 0.0]
+                    total = sum(n for n, _, _ in cells)
+                    expected = sum(n * exact_rates[scheme][sid] for n, _, sid in cells) / total
+                    ratio = sum(n * p for n, p, _ in cells) / total / expected
+                    result = smr(table, floats, scheme)
+                    for value in (core.expected_rate(table, floats), result.expected_rate):
+                        assert _ulps(value, expected) <= self.BOUNDS[f"expected {scheme}"], (seed, scheme)
+                    assert _ulps(result.smr, ratio) <= self.BOUNDS[f"smr {scheme}"], (seed, scheme)
 
 
 class TestStratumSumsMemory:

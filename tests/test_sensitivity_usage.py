@@ -4,6 +4,8 @@ Each case in ``sensitivity_usage.json`` is one CLI run on the golden
 cohort of ``test_golden``: every required option of every (analysis,
 scheme) run left out in turn, the wrong-scheme runs, a missing
 ``--standard`` or ``--hospital``, an unknown hospital and ``--help``.
+A usage error (exit 2) is found before any file is read, so each one is
+also run with ``--hospitals`` naming a file that does not exist.
 To regenerate the pins after an intended change, run
 ``PYTHONPATH=src python tests/test_sensitivity_usage.py`` from the
 repository root and review the diff.
@@ -24,6 +26,7 @@ from smr_axioms.cli import main
 from test_golden import SENSITIVITY_RUNS, write_inputs
 
 PINS = Path(__file__).parent / "sensitivity_usage.json"
+PINNED = json.loads(PINS.read_text(encoding="utf-8"))
 
 
 def _argv(analysis: str, scheme: str, options: list[str], hospital: str = "H1") -> list[str]:
@@ -65,19 +68,21 @@ def run_case(name: str, paths: dict[str, str]) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-@pytest.fixture(scope="module")
-def pins():
-    return json.loads(PINS.read_text(encoding="utf-8"))
+def test_every_case_is_pinned():
+    assert sorted(PINNED) == sorted(CASES)
 
 
-def test_every_case_is_pinned(pins):
-    assert sorted(pins) == sorted(CASES)
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_usage_matches_pin(name, pins, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, hospitals_missing", [
+    *(pytest.param(name, False, id=name) for name in sorted(CASES)),
+    *(pytest.param(name, True, id=f"{name}-hospitals-missing")
+      for name in sorted(PINNED) if PINNED[name]["exit"] == 2),
+])
+def test_usage_matches_pin(name, hospitals_missing, tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    assert run_case(name, write_inputs(tmp_path)) == pins[name]
+    paths = write_inputs(tmp_path)
+    if hospitals_missing:
+        paths["hospitals"] = str(tmp_path / "missing.csv")
+    assert run_case(name, paths) == PINNED[name]
 
 
 if __name__ == "__main__":
