@@ -51,9 +51,10 @@ Each count and rate is validated once, when its ``StratumCell`` or
 ``StratumCell``. An in-range exact ``float`` costs one chained comparison;
 others are converted with ``float()`` and checked in full, or refused as invalid.
 Cells are slotted, and a loaded cohort's cells share one string per stratum id.
-Only the audit's probes and a table's copies that keep its ids may skip the checks
-of a table, cohort or standard through its private ``_trusted``: the caller hands
-over a fresh container, with values already checked and ids that cannot collide.
+Only the audit's probes, a table's copies that keep its ids and ``csvio``'s fresh
+per-hospital dicts of ``str`` ids may skip the checks of a table, cohort or standard
+through its private ``_trusted``: the caller hands over a fresh container, with
+values already checked and ids that cannot collide.
 
 All values are immutable after construction and every operation is a
 pure function, so concurrent evaluation needs no coordination: keeping
@@ -124,7 +125,7 @@ def _reject_string_collisions(ids: Collection[object], what: str) -> None:
                 ) from None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StratumCell:
     """Patient count and actual mortality rate of one stratum.
 
@@ -134,6 +135,12 @@ class StratumCell:
 
     count: float
     rate: float | None = None
+
+    def __init__(self, count: float, rate: float | None = None) -> None:
+        # the slot descriptors store faster than a frozen dataclass's object.__setattr__; one validator stays
+        _set_count(self, count)
+        _set_rate(self, rate)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # the chained comparisons also reject nan and inf
@@ -149,6 +156,8 @@ class StratumCell:
         elif type(rate) is not float or not 0.0 <= rate <= 1.0:
             object.__setattr__(self, "rate", _check_rate(rate, "mortality rate"))
 
+
+_set_count, _set_rate = StratumCell.count.__set__, StratumCell.rate.__set__
 
 CellLike = Union[StratumCell, tuple]
 

@@ -14,17 +14,20 @@ significant digits, so ``ingest(emit(cohort)) == cohort`` bit-for-bit,
 and an id holding a comma or a quote is quoted. All ingestion failures
 carry the 1-based row number of the offending line; a file that is not
 UTF-8 text is refused with its path. A hospitals row's values
-are validated once, by the slotted ``StratumCell``; a refused row is re-read
-only to name its fault. A loaded cohort's cells share one string per stratum id.
+are validated once, by the slotted ``StratumCell``; a refused row is read again
+from its stripped values, only to name its fault. A loaded cohort's cells share one
+string per stratum id, and each hospital's fresh dict of ``str`` ids, which cannot
+collide, becomes its table through ``StratumTable._trusted``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from math import isfinite
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Cohort, ExternalStandard, StratumCell, StratumTable
 from .errors import InvalidParameterError, ParseError, SmrError, ValidationError
@@ -53,26 +56,32 @@ def _check_header(got: list[str] | None, want: list[str], path: str) -> None:
         raise ParseError(1, ",".join(want), f"{path}: header must be {','.join(want)!r}")
 
 
-def _refuse_values(row: int, patients_text: str, rate_text: str) -> NoReturn:
-    """Raise the error that names what ``StratumCell`` refused in a hospitals row."""
+def _checked_cell(row: int, patients_text: str, rate_text: str) -> StratumCell:
+    """A hospitals row's cell read from its stripped values, or the error that names its fault.
+
+    Reached when ``StratumCell`` refused the row, or when ``float()`` kept whitespace that
+    ``str.strip`` removes (``\\x1c``-``\\x1f``)."""
     patients = _parse_float(patients_text, row, "patients")
     if patients < 0.0:
         raise ValidationError(row, f"patients must be >= 0, got {patients}")
     if rate_text == "":
-        raise ValidationError(row, "populated stratum needs a mortality_rate")
+        if patients > 0.0:
+            raise ValidationError(row, "populated stratum needs a mortality_rate")
+        return StratumCell(patients)
     rate = _parse_float(rate_text, row, "mortality_rate")
-    raise ValidationError(row, f"mortality_rate must be in [0, 1], got {rate}")
+    if not 0.0 <= rate <= 1.0:
+        raise ValidationError(row, f"mortality_rate must be in [0, 1], got {rate}")
+    return StratumCell(patients, rate)
 
 
-def _rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Each non-blank row after the checked header, with its 1-based number; non-UTF-8 text is refused."""
+@contextmanager
+def _rows(path: str | Path, header: list[str]) -> Iterator[Iterator[tuple[int, list[str]]]]:
+    """The rows after the checked header, numbered from 1, a blank one as ``[]``; non-UTF-8 text is refused."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             _check_header(next(reader, None), header, str(path))
-            for row_no, row in enumerate(reader, start=2):
-                if row:
-                    yield row_no, row
+            yield enumerate(reader, 2)
     except UnicodeDecodeError as exc:
         raise SmrError(f"{path}: not UTF-8 text, byte 0x{exc.object[exc.start]:02x} cannot be decoded") from None
 
@@ -81,42 +90,51 @@ def load_hospitals(path: str | Path) -> Cohort:
     """Read a hospitals file into a cohort, in file order."""
     tables: dict[str, dict[str, StratumCell]] = {}
     strata: dict[str, str] = {}  # one string per stratum id, shared by every hospital's cells
-    for row_no, row in _rows(path, HOSPITALS_HEADER):
-        if len(row) != 4:
-            raise ParseError(row_no, "*", f"expected 4 fields, got {len(row)}")
-        hospital, stratum, patients_text, rate_text = map(str.strip, row)
-        if not hospital or not stratum:
-            raise ValidationError(row_no, "hospital_id and stratum_id must be non-empty")
-        try:
-            cell = StratumCell(float(patients_text), float(rate_text) if rate_text else None)
-        except (ValueError, InvalidParameterError):
-            _refuse_values(row_no, patients_text, rate_text)
-        cells = tables.get(hospital)
-        if cells is None:
-            cells = tables[hospital] = {}
-        elif stratum in cells:
-            raise ValidationError(row_no, f"duplicate ({hospital!r}, {stratum!r})")
-        cells[strata.setdefault(stratum, stratum)] = cell
+    hospital, cells = None, {}
+    with _rows(path, HOSPITALS_HEADER) as rows:
+        for row_no, row in rows:
+            try:
+                hospital_text, stratum, patients_text, rate_text = row
+            except ValueError:
+                if not row:
+                    continue
+                raise ParseError(row_no, "*", f"expected 4 fields, got {len(row)}") from None
+            hospital_text, stratum = hospital_text.strip(), stratum.strip()
+            if not hospital_text or not stratum:
+                raise ValidationError(row_no, "hospital_id and stratum_id must be non-empty")
+            try:  # float() skips common padding; _checked_cell strips the rest
+                cell = StratumCell(float(patients_text), float(rate_text) if rate_text.strip() else None)
+            except (ValueError, InvalidParameterError):
+                cell = _checked_cell(row_no, patients_text.strip(), rate_text.strip())
+            if hospital_text != hospital:  # a registry lists a hospital's rows together
+                hospital = hospital_text
+                cells = tables.setdefault(hospital, {})
+            if stratum in cells:
+                raise ValidationError(row_no, f"duplicate ({hospital!r}, {stratum!r})")
+            cells[strata.setdefault(stratum, stratum)] = cell
     if not tables:
         raise ValidationError(1, "no hospital rows")
-    return Cohort(tuple(StratumTable(h, cells) for h, cells in tables.items()))
+    return Cohort(tuple(StratumTable._trusted(h, cells) for h, cells in tables.items()))
 
 
 def load_standard(path: str | Path) -> ExternalStandard:
     """Read a standard file."""
     rates: dict[str, float] = {}
-    for row_no, row in _rows(path, STANDARD_HEADER):
-        if len(row) != 2:
-            raise ParseError(row_no, "*", f"expected 2 fields, got {len(row)}")
-        stratum, rate_text = map(str.strip, row)
-        if not stratum:
-            raise ValidationError(row_no, "stratum_id must be non-empty")
-        if stratum in rates:
-            raise ValidationError(row_no, f"duplicate stratum {stratum!r}")
-        rate = _parse_float(rate_text, row_no, "expected_rate")
-        if not 0.0 <= rate <= 1.0:
-            raise ValidationError(row_no, f"expected_rate must be in [0, 1], got {rate}")
-        rates[stratum] = rate
+    with _rows(path, STANDARD_HEADER) as rows:
+        for row_no, row in rows:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ParseError(row_no, "*", f"expected 2 fields, got {len(row)}")
+            stratum, rate_text = map(str.strip, row)
+            if not stratum:
+                raise ValidationError(row_no, "stratum_id must be non-empty")
+            if stratum in rates:
+                raise ValidationError(row_no, f"duplicate stratum {stratum!r}")
+            rate = _parse_float(rate_text, row_no, "expected_rate")
+            if not 0.0 <= rate <= 1.0:
+                raise ValidationError(row_no, f"expected_rate must be in [0, 1], got {rate}")
+            rates[stratum] = rate
     return ExternalStandard(rates)
 
 

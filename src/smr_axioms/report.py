@@ -48,7 +48,10 @@ def _cohort_pieces(cohort: Cohort, indent: int | None, level: int) -> Iterator[s
 
     Written straight from the cells with one fixed template per cell, so no payload copy
     is built. ``StratumCell`` has already checked every count and rate finite, and ids go
-    through ``str`` as in ``table_payload``, so the bytes equal the generic walk's."""
+    through ``str`` as in ``table_payload``, so the bytes equal the generic walk's. The
+    text of each positive count and the closing text of each ``str`` stratum id are made
+    once per call: a registry repeats both. Never a zero count, since ``0.0 == -0.0`` is
+    one key written two ways, nor an id of another type, such as ``1`` and ``True``."""
     if not cohort.hospitals:
         yield "[]"
         return
@@ -56,11 +59,27 @@ def _cohort_pieces(cohort: Cohort, indent: int | None, level: int) -> Iterator[s
     rate_head, count_head = "{" + p4 + '"mortality_rate": ', "," + p4 + '"patients": '
     id_head, cell_end, cell_sep = "," + p4 + '"stratum_id": ', p3 + "}", "," + p3
     number, quote = _number, encode_basestring_ascii
+    counts: dict[float, str] = {}
+    tails: dict[str, str] = {}
+
+    def count_text(count: float) -> str:
+        text = number(count)
+        if count > 0.0:
+            counts[count] = text
+        return text
+
+    def tail_text(sid: object) -> str:
+        text = f"{id_head}{quote(str(sid))}{cell_end}"
+        if type(sid) is str:
+            tails[sid] = text
+        return text
+
     sep = "[" + p1
     for table in cohort.hospitals:
         cells = cell_sep.join([
-            f"{rate_head}{'null' if c.rate is None else number(c.rate)}{count_head}{number(c.count)}"
-            f"{id_head}{quote(str(sid))}{cell_end}"
+            f"{rate_head}{'null' if c.rate is None else number(c.rate)}"
+            f"{count_head}{counts.get(c.count) or count_text(c.count)}"
+            f"{tails[sid] if type(sid) is str and sid in tails else tail_text(sid)}"
             for sid, c in table.cells.items()
         ])
         cells = f"[{p3}{cells}{p2}]" if cells else "[]"

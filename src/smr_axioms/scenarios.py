@@ -241,7 +241,9 @@ def find_crossing(series: SweepSeries, a: HospitalId, b: HospitalId) -> float | 
 
     Scans the grid for a sign change of the difference and refines it by
     bisection on the underlying model until the gap is at most
-    ``CROSSING_TOL``.
+    ``CROSSING_TOL``. A run of exact zeros is a crossing at its first grid
+    value when the gaps on either side of it have opposite signs, or when
+    it reaches an end of the grid; between gaps of one sign it is a touch.
     """
     diff = [va - vb for va, vb in zip(series.hospital(a), series.hospital(b))]
     spec = series.spec
@@ -252,8 +254,10 @@ def find_crossing(series: SweepSeries, a: HospitalId, b: HospitalId) -> float | 
 
     for i in range(len(diff) - 1):
         lo_d, hi_d = diff[i], diff[i + 1]
-        if lo_d == 0.0 and (i == 0 or diff[i - 1] * hi_d < 0.0):
-            return series.values[i]
+        if lo_d == 0.0 and (i == 0 or diff[i - 1] != 0.0):  # the first zero of a run
+            after = next((d for d in diff[i + 1 :] if d != 0.0), 0.0)  # 0.0: the run reaches the end
+            if i == 0 or after == 0.0 or diff[i - 1] * after < 0.0:
+                return series.values[i]
         if lo_d * hi_d < 0.0:
             lo, hi = series.values[i], series.values[i + 1]
             g_lo = lo_d

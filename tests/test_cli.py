@@ -432,6 +432,30 @@ class TestIngestMatchesReference:
         path.write_text("\n".join([",".join(HOSPITALS_HEADER), *map(",".join, rows)]) + "\n", encoding="utf-8")
         assert _ingest_outcome(load_hospitals, path) == _ingest_outcome(_reference_load_hospitals, path)
 
+    # the loader looks a hospital up only when its id differs from the previous row's
+    @pytest.mark.parametrize(
+        "rows, refused_at",
+        [
+            ("H1,S1,5,0.1\nH2,S1,3,0.2\nH1,S2,4,0.3\n", None),
+            ("H1,S1,5,0.1\nH2,S1,3,0.2\nH1,S1,4,0.3\n", 4),
+            ("H1,S1,5,0.1\n H1 ,S1,4,0.3\n", 3),
+            ("H1,S1,0,  \nH1,S2, 5 ,0.1\nH1,S3,\t0\t, \t\n", None),
+            ("H1,S1,5\x1c,0.1\x1f\nH1,S2,0,\x1c\n", None),
+            ("H1,S1,5\x1c,\x1c\n", 2),
+        ],
+        ids=["interleaved", "duplicate-after-another-hospital", "duplicate-padded-id", "padded-values",
+             "separator-whitespace", "separator-whitespace-rate-missing"],
+    )
+    def test_rows_load_as_the_reference_loads_them(self, rows, refused_at, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(",".join(HOSPITALS_HEADER) + "\n" + rows, encoding="utf-8")
+        outcome = _ingest_outcome(load_hospitals, path)
+        assert outcome == _ingest_outcome(_reference_load_hospitals, path)
+        if refused_at is None:
+            assert isinstance(outcome, list)
+        else:
+            assert outcome[:2] == (ValidationError, refused_at)
+
 
 DEGENERATE_DONOR_CSV = """hospital_id,stratum_id,patients,mortality_rate
 H1,solo,10,0.3

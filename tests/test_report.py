@@ -157,9 +157,12 @@ def test_digest_spans_many_pieces():
     assert report.inputs_digest(payload) == reference_digest(payload)
 
 
-# Ids that need quoting or escaping, and int ids, which the payload writes through str.
+# Ids that need quoting or escaping, and int and bool ids, which the payload writes through str.
 IDS = st.one_of(
-    st.sampled_from(["H,1", '"q"', "Hôpital", "a\nb", "S01", ""]), st.integers(-3, 12), st.text(max_size=3)
+    st.sampled_from(["H,1", '"q"', "Hôpital", "a\nb", "S01", ""]),
+    st.integers(-3, 12),
+    st.booleans(),
+    st.text(max_size=3),
 )
 RATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
 COUNTS = st.one_of(
@@ -170,7 +173,8 @@ COUNTS = st.one_of(
 # An empty cell may leave its rate undefined or carry one; a populated cell always has one.
 CELLS = st.one_of(st.tuples(st.sampled_from([0.0, 0]), st.one_of(st.none(), RATES)), st.tuples(COUNTS, RATES))
 TABLES = st.tuples(IDS, st.lists(st.tuples(IDS, CELLS), max_size=4, unique_by=lambda c: str(c[0])))
-COHORTS = st.lists(TABLES, max_size=4, unique_by=lambda t: str(t[0])).map(
+# hospital ids 1 and True are one key of the cohort's index, so at most one of them is drawn
+COHORTS = st.lists(TABLES, max_size=4, unique_by=(lambda t: str(t[0]), lambda t: t[0])).map(
     lambda tables: Cohort(
         tuple(StratumTable(h, {sid: StratumCell(*c) for sid, c in cells}) for h, cells in tables)
     )
@@ -195,6 +199,36 @@ def assert_cohort_written_as_payload(cohort: Cohort) -> None:
 @settings(max_examples=200, deadline=None)
 @given(COHORTS)
 def test_cohort_is_written_as_its_payload(cohort):
+    assert_cohort_written_as_payload(cohort)
+
+
+class Tagged(str):
+    """An id equal to its plain ``str`` that is written differently."""
+
+    def __str__(self) -> str:
+        return "tag:" + self
+
+
+def _cohort(*tables):
+    return Cohort(tuple(StratumTable(h, {sid: StratumCell(*c) for sid, c in cells.items()}) for h, cells in tables))
+
+
+@pytest.mark.parametrize(
+    "cohort",
+    [
+        _cohort(("A", {"S1": (0.0, 0.1), "S2": (7.0, 0.2)}), ("B", {"S1": (-0.0, None), "S2": (7.0, 0.3)}),
+                ("C", {"S1": (-0.0, 0.1), "S2": (7.0, 0.2)}), ("D", {"S1": (0.0,), "S2": (500.0, 0.2)})),
+        _cohort(("A", {"S1": (-0.0,), "S2": (500.0, 0.2)}), ("B", {"S1": (0.0,), "S2": (500.0, 0.4)})),
+        _cohort(("A", {1: (3.0, 0.1)}), ("B", {True: (3.0, 0.1), "1": (2.0, 0.5)})),
+        _cohort(("A", {True: (3.0, 0.1)}), ("B", {1: (3.0, 0.1), "True": (2.0, 0.5)})),
+        _cohort(("A", {"S1": (3.0, 0.1)}), ("B", {Tagged("S1"): (3.0, 0.1)})),
+        _cohort(("A", {Tagged("S1"): (3.0, 0.1)}), ("B", {"S1": (3.0, 0.1)})),
+    ],
+    ids=["zero-then-negative-zero", "negative-zero-then-zero", "int-then-bool-id", "bool-then-int-id",
+         "str-then-str-subclass-id", "str-subclass-then-str-id"],
+)
+def test_equal_keys_written_two_ways_are_written_as_the_payload(cohort):
+    # the writer keeps the text of repeated counts and str ids; equal keys such as 0.0 and -0.0 are written apart
     assert_cohort_written_as_payload(cohort)
 
 

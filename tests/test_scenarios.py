@@ -244,6 +244,45 @@ class TestCrossings:
         x = find_crossing(series, "H1", "H2")
         assert x == pytest.approx(0.1, abs=1e-6)
 
+    @staticmethod
+    def crafted(gaps, spec=ScenarioSpec("casemix-ext", tuple(map(float, range(8))))):
+        """A series whose H1 - H2 gaps are ``gaps``, on the first grid values of ``spec``."""
+        grid = spec.grid[: len(gaps)]
+        return scenarios.SweepSeries(spec, grid, {"H1": tuple(1.0 + g for g in gaps), "H2": (1.0,) * len(gaps)})
+
+    @pytest.mark.parametrize(
+        "gaps, at",
+        [
+            ([0, 1, 2], 0),
+            ([-1, 0, 1], 1),
+            ([-1, 0, 0, 1], 1),
+            ([2, 0, 0, 0, -1], 1),
+            ([1, 0], 1),
+            ([-1, 0, 0], 1),
+            ([1, 0, 1], None),
+            ([1, 0, 0, 1], None),
+            ([-1, 0, 0, -2], None),
+            ([1, 2, 3], None),
+            ([0], None),
+        ],
+        ids=["zero-first", "zero-between-signs", "run-between-signs", "long-run-between-signs", "zero-last",
+             "run-to-the-end", "zero-touch", "run-touch", "negative-run-touch", "one-sign", "one-point"],
+    )
+    def test_exact_zeros_cross_only_between_opposite_signs_or_at_an_end(self, gaps, at):
+        series = self.crafted(gaps)
+        assert find_crossing(series, "H1", "H2") == (None if at is None else series.values[at])
+
+    def test_a_sign_change_is_refined_on_the_model(self):
+        spec = ScenarioSpec("expected-ext", (0.1, 0.2))
+        x = find_crossing(self.crafted([1, -1], spec), "H1", "H2")
+        world = build_scenario(spec, x)
+        assert abs(scenarios.evaluate(world, "H1") - scenarios.evaluate(world, "H2")) <= scenarios.CROSSING_TOL
+        assert x == pytest.approx(0.14, abs=1e-6)
+
+    def test_a_sign_change_the_model_does_not_bear_out_stops_after_200_halvings(self):
+        # casemix-ext's H1 - H2 gap is positive everywhere, so each halving keeps the low half
+        assert find_crossing(self.crafted([-1, 1]), "H1", "H2") == 2.0**-201
+
 
 class TestClaims:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
