@@ -14,8 +14,8 @@ significant digits, so ``ingest(emit(cohort)) == cohort`` bit-for-bit,
 and an id holding a comma or a quote is quoted. All ingestion failures
 carry the 1-based row number of the offending line; a file that is not
 UTF-8 text is refused with its path. A hospitals row's values
-are validated once, by the slotted ``StratumCell``; a refused row is read again
-from its stripped values, only to name its fault. A loaded cohort's cells share one
+are validated once, by the slotted ``StratumCell``; a row it refuses is read again
+from its stripped values, by ``_checked_cell``. A loaded cohort's cells share one
 string per stratum id, and each hospital's fresh dict of ``str`` ids, which cannot
 collide, becomes its table through ``StratumTable._trusted``.
 """
@@ -76,7 +76,9 @@ def _checked_cell(row: int, patients_text: str, rate_text: str) -> StratumCell:
 
 @contextmanager
 def _rows(path: str | Path, header: list[str]) -> Iterator[Iterator[tuple[int, list[str]]]]:
-    """The rows after the checked header, numbered from 1, a blank one as ``[]``; non-UTF-8 text is refused."""
+    """The rows after the checked header, with their 1-based numbers and a blank one as ``[]``.
+
+    Non-UTF-8 text is refused."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)

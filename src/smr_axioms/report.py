@@ -14,6 +14,8 @@ pieces as the writer produces it, so that text is never held whole.
 A ``Cohort`` inside a payload is written straight from its cells, with
 no payload copy; its bytes are exactly those of ``cohort_payload``, so
 ``compute`` and ``sensitivity`` put the cohort itself in their inputs.
+Each distinct positive count, such as a registry's whole counts, and
+each ``str`` stratum id is formatted once per write of a cohort.
 Witness payloads embed the complete probe inputs so a violation can be
 re-evaluated from the report alone.
 """

@@ -256,9 +256,9 @@ def find_crossing(series: SweepSeries, a: HospitalId, b: HospitalId) -> float | 
         lo_d, hi_d = diff[i], diff[i + 1]
         if lo_d == 0.0 and (i == 0 or diff[i - 1] != 0.0):  # the first zero of a run
             after = next((d for d in diff[i + 1 :] if d != 0.0), 0.0)  # 0.0: the run reaches the end
-            if i == 0 or after == 0.0 or diff[i - 1] * after < 0.0:
+            if i == 0 or after == 0.0 or min(diff[i - 1], after) < 0.0 < max(diff[i - 1], after):
                 return series.values[i]
-        if lo_d * hi_d < 0.0:
+        if min(lo_d, hi_d) < 0.0 < max(lo_d, hi_d):  # a product of tiny gaps could underflow to 0
             lo, hi = series.values[i], series.values[i + 1]
             g_lo = lo_d
             for _ in range(200):

@@ -248,7 +248,7 @@ class TestCrossings:
     def crafted(gaps, spec=ScenarioSpec("casemix-ext", tuple(map(float, range(8))))):
         """A series whose H1 - H2 gaps are ``gaps``, on the first grid values of ``spec``."""
         grid = spec.grid[: len(gaps)]
-        return scenarios.SweepSeries(spec, grid, {"H1": tuple(1.0 + g for g in gaps), "H2": (1.0,) * len(gaps)})
+        return scenarios.SweepSeries(spec, grid, {"H1": tuple(map(float, gaps)), "H2": (0.0,) * len(gaps)})
 
     @pytest.mark.parametrize(
         "gaps, at",
@@ -282,6 +282,10 @@ class TestCrossings:
     def test_a_sign_change_the_model_does_not_bear_out_stops_after_200_halvings(self):
         # casemix-ext's H1 - H2 gap is positive everywhere, so each halving keeps the low half
         assert find_crossing(self.crafted([-1, 1]), "H1", "H2") == 2.0**-201
+
+    @pytest.mark.parametrize("gaps", [[1e-170, -1e-170], [-1e-170, 0, 1e-170]], ids=["sign-change", "zero-between"])
+    def test_gaps_whose_product_underflows_still_cross(self, gaps):
+        assert find_crossing(self.crafted(gaps), "H1", "H2") is not None
 
 
 class TestClaims:
